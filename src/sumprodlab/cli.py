@@ -19,20 +19,12 @@ from .subgroups import (DIFF_RATIO_EXPONENT_EXT, DIFF_RATIO_EXPONENT_PRIME,
                         difference_count, gcd_growth_condition,
                         nth_power_subgroup, subfield_overlap_condition,
                         subgroup_of_order)
-from .sweep import SweepConfig, exponent_fit, run_sweep
+from .sweep import SweepConfig, _fmt, exponent_fit, run_sweep
 from .verify import SUITE_NAMES, run_suite
 
 _KINDS = {"add": "additive", "mult": "multiplicative"}
 
 CONDITION_CSV_HEADER = ("q", "p", "m", "n", "nu", "lhs", "rhs", "ratio", "pass")
-
-
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def _add_field_args(sp):

@@ -12,142 +12,47 @@ with implied constant 1 and is never asserted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .sets import ESet, _same_field, dilate, product_set, shift
+from .fields import Field
+from .sets import ESet, _pair_counts, _same_field, dilate, product_set, shift, sum_set
 
 KINDS = ("additive", "multiplicative")
 
-_CHUNK = 1 << 20          # elements per broadcast block
-_ARRAY_LIMIT = 1 << 22    # bincount arrays only below this field order
-
-_NP_TABLES: dict = {}     # (p, m) -> (generator powers, discrete logs) as int64 arrays
+# sum c^2 <= (sum c)^2, so int64 sums squares exactly while |A||B| stays below this
+_INT64_EXACT_MASS = math.isqrt(2 ** 63 - 1)
 
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Energy value plus the representation-function histogram behind it."""
+    """Energy value plus the representation function r behind it.
+
+    r is kept as two arrays: `values`, the codes z with r(z) > 0 in
+    ascending order, and `counts`, the r(z) themselves.
+    """
 
     kind: str
     value: int
-    histogram: dict
     support_size: int
+    values: np.ndarray = field(repr=False, compare=False)
+    counts: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def histogram(self) -> dict:
+        """{z: r(z)} over the support, built on each read."""
+        return dict(zip(self.values.tolist(), self.counts.tolist()))
 
     def as_dict(self):
         return {"kind": self.kind, "value": self.value, "support": self.support_size}
 
 
-def _digit_matrix(ctx, arr):
-    """(len, m) base-p digit matrix of an int64 code array."""
-    out = np.empty((arr.size, ctx.m), dtype=np.int64)
-    v = arr.copy()
-    for i in range(ctx.m):
-        out[:, i] = v % ctx.p
-        v //= ctx.p
-    return out
-
-
-def _np_dlog(ctx):
-    key = (ctx.p, ctx.m)
-    tabs = _NP_TABLES.get(key)
-    if tabs is None:
-        gpow, dlog = ctx.dlog_tables()
-        tabs = (np.asarray(gpow, dtype=np.int64), np.asarray(dlog, dtype=np.int64))
-        _NP_TABLES[key] = tabs
-    return tabs
-
-
-def _hist_from_counts(counts):
-    nz = np.nonzero(counts)[0]
-    return dict(zip(nz.tolist(), counts[nz].tolist()))
-
-
-def _hist_prime(p, xs, ys, additive):
-    xa = np.asarray(xs, dtype=np.int64)
-    ya = np.asarray(ys, dtype=np.int64)
-    step = max(1, _CHUNK // ya.size)
-    if p <= _ARRAY_LIMIT:
-        counts = np.zeros(p, dtype=np.int64)
-        for i in range(0, xa.size, step):
-            blk = xa[i:i + step, None]
-            blk = (blk + ya) if additive else (blk * ya)
-            counts += np.bincount((blk % p).ravel(), minlength=p)
-        return _hist_from_counts(counts)
-    out: dict = {}
-    for i in range(0, xa.size, step):
-        blk = xa[i:i + step, None]
-        blk = (blk + ya) if additive else (blk * ya)
-        vals, cnts = np.unique((blk % p).ravel(), return_counts=True)
-        for v, c in zip(vals.tolist(), cnts.tolist()):
-            out[v] = out.get(v, 0) + c
-    return out
-
-
-def _hist_ext_add(ctx, xs, ys):
-    p, m, q = ctx.p, ctx.m, ctx.q
-    xa = np.asarray(xs, dtype=np.int64)
-    ya = np.asarray(ys, dtype=np.int64)
-    dx = _digit_matrix(ctx, xa)
-    dy = _digit_matrix(ctx, ya)
-    pvec = p ** np.arange(m, dtype=np.int64)
-    counts = np.zeros(q, dtype=np.int64)
-    step = max(1, _CHUNK // ya.size)
-    for i in range(0, xa.size, step):
-        dz = (dx[i:i + step, None, :] + dy[None, :, :]) % p
-        counts += np.bincount(dz.reshape(-1, m) @ pvec, minlength=q)
-    return _hist_from_counts(counts)
-
-
-def _hist_ext_mul(ctx, xs, ys):
-    q = ctx.q
-    gpow, dlog = _np_dlog(ctx)
-    xa = np.asarray(xs, dtype=np.int64)
-    ya = np.asarray(ys, dtype=np.int64)
-    x0 = int((xa == 0).sum())
-    y0 = int((ya == 0).sum())
-    zero_pairs = x0 * ya.size + y0 * xa.size - x0 * y0
-    lx = dlog[xa[xa != 0]]
-    ly = dlog[ya[ya != 0]]
-    counts = np.zeros(q, dtype=np.int64)
-    if lx.size and ly.size:
-        step = max(1, _CHUNK // ly.size)
-        for i in range(0, lx.size, step):
-            idx = (lx[i:i + step, None] + ly[None, :]) % (q - 1)
-            counts += np.bincount(gpow[idx].ravel(), minlength=q)
-    hist = _hist_from_counts(counts)
-    if zero_pairs:
-        hist[0] = hist.get(0, 0) + zero_pairs
-    return hist
-
-
-def _hist_slow(ctx, xs, ys, additive):
-    op = ctx.add if additive else ctx.mul
-    out: dict = {}
-    for a in xs:
-        for b in ys:
-            z = op(a, b)
-            out[z] = out.get(z, 0) + 1
-    return out
-
-
-def _pair_histogram(ctx, xs, ys, kind):
-    if not xs or not ys:
-        return {}
-    additive = kind == "additive"
-    if ctx.m == 1:
-        return _hist_prime(ctx.p, xs, ys, additive)
-    if ctx.q <= _ARRAY_LIMIT:
-        return _hist_ext_add(ctx, xs, ys) if additive else _hist_ext_mul(ctx, xs, ys)
-    return _hist_slow(ctx, xs, ys, additive)
-
-
 def energy(A: ESet, B: ESet | None = None, kind: str = "additive") -> EnergyReport:
     """Number of quadruples a∘b = a'∘b' with a, a' in A and b, b' in B.
 
-    Computed as sum r(z)^2 over the representation histogram r of A∘B,
+    Computed as sum r(z)^2 over the representation counts r of A∘B,
     which is O(|A||B|) instead of quartic.  B defaults to A.
     """
     if kind not in KINDS:
@@ -155,15 +60,16 @@ def energy(A: ESet, B: ESet | None = None, kind: str = "additive") -> EnergyRepo
     if B is None:
         B = A
     ctx = _same_field(A, B)
-    hist = _pair_histogram(ctx, A.codes, B.codes, kind)
-    total = 0
-    value = 0
-    for c in hist.values():
-        total += c
-        value += c * c
+    op = Field.vadd if kind == "additive" else Field.vmul
+    values, counts = _pair_counts(ctx, A.codes, B.codes, op)
+    total = int(counts.sum())
     if total != len(A) * len(B):
         raise RuntimeError("histogram mass does not match |A||B|; counting bug")
-    return EnergyReport(kind, value, hist, len(hist))
+    if total <= _INT64_EXACT_MASS:
+        value = int(counts @ counts)
+    else:
+        value = sum(c * c for c in counts.tolist())
+    return EnergyReport(kind, value, len(values), values, counts)
 
 
 def shifted_subgroup_ratio(gamma: ESet, x) -> float:
@@ -457,8 +363,6 @@ def plunnecke_ruzsa_check(Y: ESet, Xs, mode: str = "additive") -> bool:
             raise ValueError("multiplicative mode needs 0-free sets")
         combine = product_set
     else:
-        from .sets import sum_set
-
         combine = sum_set
     total = Xs[0]
     for X in Xs[1:]:

@@ -17,6 +17,8 @@ from __future__ import annotations
 import functools
 import math
 
+import numpy as np
+
 __all__ = ["Field", "make_field", "is_prime", "factorize", "divisors", "MAX_ORDER"]
 
 MAX_ORDER = 2 ** 31  # keeps every count downstream inside exact 64-bit integer range
@@ -184,6 +186,13 @@ class Field:
         self.q = q
         self.modulus = (0, 1) if m == 1 else smallest_irreducible(p, m)
         self._red = self._reduction_rows() if m > 1 else None
+        self._place = [p ** i for i in range(m)]
+        # Scratch of the widest array operation, in int64 arrays of its
+        # output shape, by which the pair kernel sizes its blocks.  vmul keeps
+        # 2m + 1 alive for m > 1; they are charged 4x because that many
+        # mid-sized arrays come from the heap and stay resident once freed
+        # (measured as peak RSS), unlike the one large array of a prime field.
+        self.width = 1 if m == 1 else 4 * (2 * m + 1)
         # write-once caches
         self._generator = None
         self._trace_basis = None
@@ -354,17 +363,75 @@ class Field:
             return pow(x, self.p - 2, self.p)
         return self.pow(x, self.q - 2)
 
+    # -- array arithmetic -----------------------------------------------------
+    # Inputs are broadcastable arrays of valid codes; the result is an int64
+    # code array of the broadcast shape.
+
+    def _digits(self, x):
+        p = self.p
+        return [x // w % p for w in self._place]
+
+    def _digitwise(self, x, y, op):
+        p = self.p
+        x = np.asarray(x, dtype=np.int64)
+        y = np.asarray(y, dtype=np.int64)
+        if self.m == 1:
+            return op(x, y) % p
+        out = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=np.int64)
+        for w, dx, dy in zip(self._place, self._digits(x), self._digits(y)):
+            d = op(dx, dy)
+            d %= p
+            d *= w
+            out += d
+        return out
+
+    def vadd(self, x, y):
+        """Elementwise x + y over code arrays."""
+        return self._digitwise(x, y, np.add)
+
+    def vsub(self, x, y):
+        """Elementwise x - y over code arrays."""
+        return self._digitwise(x, y, np.subtract)
+
+    def vmul(self, x, y):
+        """Elementwise x * y over code arrays: digit convolution, then reduction.
+
+        Before reduction a coefficient is at most (2m - 1)(p - 1)^2 < 2^37,
+        so int64 holds every intermediate value exactly.
+        """
+        p, m = self.p, self.m
+        x = np.asarray(x, dtype=np.int64)
+        y = np.asarray(y, dtype=np.int64)
+        if m == 1:
+            return x * y % p
+        dx, dy = self._digits(x), self._digits(y)
+        prod = np.zeros((2 * m - 1,) + np.broadcast_shapes(x.shape, y.shape), dtype=np.int64)
+        for i in range(m):
+            for j in range(m):
+                prod[i + j] += dx[i] * dy[j]
+        for k in range(2 * m - 2, m - 1, -1):
+            c = prod[k] % p
+            for i, r in enumerate(self._red[k - m]):
+                if r:
+                    prod[i] += c * r
+        out = prod[m - 1] % p
+        for i in range(m - 2, -1, -1):
+            out *= p
+            out += prod[i] % p
+        return out
+
+    def vtrace(self, x):
+        """Elementwise trace down to the prime field, as codes < p."""
+        x = np.asarray(x, dtype=np.int64)
+        out = np.zeros(x.shape, dtype=np.int64)
+        for d, t in zip(self._digits(x), self._trace_basis_codes()):
+            out += d * t
+        return out % self.p
+
     # -- structure ------------------------------------------------------------
 
-    def trace(self, x):
-        """Trace down to the prime field: x + x^p + ... + x^(p^(m-1)), as a code < p.
-
-        Computed through the trace of the power basis (the map is linear over
-        the prime field), so table builds stay cheap.
-        """
-        self.check(x)
-        if self.m == 1:
-            return x
+    def _trace_basis_codes(self):
+        """Tr(t^i) for i < m, built once through scalar Frobenius powers."""
         tb = self._trace_basis
         if tb is None:
             tb = []
@@ -380,6 +447,18 @@ class Field:
                 tb.append(acc)
             tb = tuple(tb)
             self._trace_basis = tb
+        return tb
+
+    def trace(self, x):
+        """Trace down to the prime field: x + x^p + ... + x^(p^(m-1)), as a code < p.
+
+        Computed through the trace of the power basis (the map is linear over
+        the prime field), so table builds stay cheap.
+        """
+        self.check(x)
+        if self.m == 1:
+            return x
+        tb = self._trace_basis_codes()
         p = self.p
         total = 0
         i = 0

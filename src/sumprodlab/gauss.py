@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import _digit_matrix, energy
+from .energy import energy
 from .fields import Field
 from .sets import ESet
 from .subgroups import SubgroupInfo, nth_power_subgroup
@@ -43,94 +43,32 @@ _TRACE_CACHE: dict = {}
 _ROOTS_CACHE: dict = {}
 
 
-def _vec_mulmod(ctx, da, db):
-    """Field product of two (N, m) digit matrices, vectorized convolution + fold."""
-    p, m = ctx.p, ctx.m
-    prod = np.zeros((da.shape[0], 2 * m - 1), dtype=np.int64)
-    for i in range(m):
-        prod[:, i:i + m] += da[:, i:i + 1] * db
-    red = ctx._red
-    for k in range(2 * m - 2, m - 1, -1):
-        c = prod[:, k] % p
-        row = red[k - m]
-        for i in range(m):
-            if row[i]:
-                prod[:, i] += c * row[i]
-    return prod[:, :m] % p
-
-
-def _encode_cols(ctx, digits):
-    pvec = ctx.p ** np.arange(ctx.m, dtype=np.int64)
-    return digits @ pvec
-
-
 def _power_table(ctx: Field, n: int):
     """Array y with y[x] = x**n for every code x, by square-and-multiply."""
     key = (ctx.p, ctx.m, n)
     cached = _POWER_CACHE.get(key)
     if cached is not None:
         return cached
-    q = ctx.q
-    if ctx.m == 1:
-        p = ctx.p
-        result = np.ones(q, dtype=np.int64)
-        base = np.arange(q, dtype=np.int64)
-        e = n
-        while e:
-            if e & 1:
-                result = result * base % p
-            e >>= 1
-            if e:
-                base = base * base % p
-    else:
-        codes = np.arange(q, dtype=np.int64)
-        base = _digit_matrix(ctx, codes)
-        acc = np.zeros((q, ctx.m), dtype=np.int64)
-        acc[:, 0] = 1
-        e = n
-        while e:
-            if e & 1:
-                acc = _vec_mulmod(ctx, acc, base)
-            e >>= 1
-            if e:
-                base = _vec_mulmod(ctx, base, base)
-        result = _encode_cols(ctx, acc)
+    result = np.ones(ctx.q, dtype=np.int64)
+    base = np.arange(ctx.q, dtype=np.int64)
+    e = n
+    while e:
+        if e & 1:
+            result = ctx.vmul(result, base)
+        e >>= 1
+        if e:
+            base = ctx.vmul(base, base)
     if len(_POWER_CACHE) >= _POWER_CACHE_LIMIT:
         _POWER_CACHE.pop(next(iter(_POWER_CACHE)))
     _POWER_CACHE[key] = result
     return result
 
 
-def _scale_codes(ctx, a, codes):
-    """a * x for an array of codes, as codes."""
-    if ctx.m == 1:
-        return a * codes % ctx.p
-    m = ctx.m
-    da = _digit_matrix(ctx, codes)
-    prod = np.zeros((codes.size, 2 * m - 1), dtype=np.int64)
-    for j, aj in enumerate(ctx.decode(a)):
-        if aj:
-            prod[:, j:j + m] += aj * da
-    red = ctx._red
-    for k in range(2 * m - 2, m - 1, -1):
-        c = prod[:, k] % ctx.p
-        row = red[k - m]
-        for i in range(m):
-            if row[i]:
-                prod[:, i] += c * row[i]
-    return _encode_cols(ctx, prod[:, :m] % ctx.p)
-
-
 def _trace_table(ctx: Field):
     key = (ctx.p, ctx.m)
     tab = _TRACE_CACHE.get(key)
     if tab is None:
-        if ctx.m == 1:
-            tab = np.arange(ctx.q, dtype=np.int64)
-        else:
-            ctx.trace(0)  # force the trace basis
-            tb = np.asarray(ctx._trace_basis, dtype=np.int64)
-            tab = _digit_matrix(ctx, np.arange(ctx.q, dtype=np.int64)) @ tb % ctx.p
+        tab = ctx.vtrace(np.arange(ctx.q, dtype=np.int64))
         _TRACE_CACHE[key] = tab
     return tab
 
@@ -145,7 +83,7 @@ def _roots_table(ctx: Field):
 
 
 def _char_sum_over_codes(ctx, a, codes):
-    tr = _trace_table(ctx)[_scale_codes(ctx, a, codes)]
+    tr = _trace_table(ctx)[ctx.vmul(a, codes)]
     return complex(np.sum(_roots_table(ctx)[tr]))
 
 

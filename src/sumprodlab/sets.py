@@ -9,9 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .fields import Field
 
 _TABLE_LIMIT = 1 << 22  # byte-table membership below this order, hash set above
+_DENSE_LIMIT = 1 << 22  # pair counts by bincount below this order, sorted merge above
+_BLOCK = 1 << 20        # pairs per block of a one-array operation
 
 
 class ESet:
@@ -77,60 +81,67 @@ def _same_field(*sets):
     return ctx
 
 
+def _merge(values, counts):
+    """Sort values and add up the counts of equal ones."""
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    first = np.flatnonzero(np.diff(values, prepend=-1))
+    return values[first], np.add.reduceat(counts[order], first)
+
+
+def _pair_counts(ctx: Field, xs, ys, op):
+    """(values, counts): the distinct op(x, y) over xs x ys, ascending, and how often each occurs.
+
+    op is one of Field's array operations, called as op(ctx, x, y).  Rows of
+    xs are taken in blocks of about _BLOCK / ctx.width pairs.  Counts go to a
+    bincount over all q codes when q <= _DENSE_LIMIT and to a sorted merge
+    above.
+    """
+    xa = np.asarray(xs, dtype=np.int64)
+    ya = np.asarray(ys, dtype=np.int64)
+    dense = ctx.q <= _DENSE_LIMIT
+    values = np.zeros(0, dtype=np.int64)
+    counts = np.zeros(ctx.q if dense else 0, dtype=np.int64)
+    rows = max(1, _BLOCK // (max(1, ya.size) * ctx.width))
+    for i in range(0, xa.size, rows):
+        z = op(ctx, xa[i:i + rows, None], ya[None, :]).ravel()
+        if dense:
+            counts += np.bincount(z, minlength=ctx.q)
+        else:
+            values, counts = _merge(np.concatenate([values, z]),
+                                    np.concatenate([counts, np.ones_like(z)]))
+    if dense:
+        values = np.flatnonzero(counts)
+        counts = counts[values]
+    return values, counts
+
+
+def _support(A: ESet, B: ESet, op) -> ESet:
+    ctx = _same_field(A, B)
+    values, _ = _pair_counts(ctx, A.codes, B.codes, op)
+    return ESet(ctx, values.tolist())
+
+
 def product_set(A: ESet, B: ESet) -> ESet:
     """{a*b : a in A, b in B}."""
-    ctx = _same_field(A, B)
-    out = set()
-    if ctx.m == 1:
-        p = ctx.p
-        for a in A.codes:
-            out.update(a * b % p for b in B.codes)
-    else:
-        mul = ctx.mul
-        for a in A.codes:
-            out.update(mul(a, b) for b in B.codes)
-    return ESet(ctx, out)
+    return _support(A, B, Field.vmul)
 
 
 def sum_set(A: ESet, B: ESet) -> ESet:
     """{a+b : a in A, b in B}."""
-    ctx = _same_field(A, B)
-    out = set()
-    if ctx.m == 1:
-        p = ctx.p
-        for a in A.codes:
-            out.update((a + b) % p for b in B.codes)
-    else:
-        add = ctx.add
-        for a in A.codes:
-            out.update(add(a, b) for b in B.codes)
-    return ESet(ctx, out)
+    return _support(A, B, Field.vadd)
 
 
 def difference_set(A: ESet, B: ESet) -> ESet:
     """{a-b : a in A, b in B}."""
-    ctx = _same_field(A, B)
-    out = set()
-    if ctx.m == 1:
-        p = ctx.p
-        for a in A.codes:
-            out.update((a - b) % p for b in B.codes)
-    else:
-        sub = ctx.sub
-        for a in A.codes:
-            out.update(sub(a, b) for b in B.codes)
-    return ESet(ctx, out)
+    return _support(A, B, Field.vsub)
 
 
 def shift(A: ESet, d) -> ESet:
     """A + d; a bijection, so the size is preserved."""
     ctx = A.ctx
     ctx.check(d)
-    if ctx.m == 1:
-        p = ctx.p
-        return ESet(ctx, ((a + d) % p for a in A.codes))
-    add = ctx.add
-    return ESet(ctx, (add(a, d) for a in A.codes))
+    return ESet(ctx, ctx.vadd(A.codes, d).tolist())
 
 
 def dilate(A: ESet, alpha) -> ESet:
@@ -139,11 +150,7 @@ def dilate(A: ESet, alpha) -> ESet:
     ctx.check(alpha)
     if alpha == 0:
         raise ValueError("dilation by 0 collapses the set")
-    if ctx.m == 1:
-        p = ctx.p
-        return ESet(ctx, (alpha * a % p for a in A.codes))
-    mul = ctx.mul
-    return ESet(ctx, (mul(alpha, a) for a in A.codes))
+    return ESet(ctx, ctx.vmul(alpha, A.codes).tolist())
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
+import numpy as np
+
 from .energy import energy
 from .fields import Field, divisors
-from .sets import ESet
+from .sets import ESet, _same_field
 
 # default exponents for the report-only power conditions
 GCD_CONDITION_DELTA = Fraction(119, 605)
@@ -160,20 +162,13 @@ def difference_count(G: ESet, H: ESet, d) -> DifferenceCount:
     fields and 559/560 in extensions; it carries implied constant 1 and is
     informational only.
     """
-    from .sets import _same_field
-
     ctx = _same_field(G, H)
     ctx.check(d)
     if d == 0:
         raise ValueError("difference d must be nonzero")
     if len(G) == 0 or len(H) == 0:
         raise ValueError("sets must be nonempty")
-    if ctx.m == 1:
-        p = ctx.p
-        count = sum(1 for g in G.codes if (g - d) % p in H)
-    else:
-        sub = ctx.sub
-        count = sum(1 for g in G.codes if sub(g, d) in H)
+    count = int(np.isin(ctx.vsub(G.codes, d), H.codes).sum())
     e = DIFF_RATIO_EXPONENT_PRIME if ctx.m == 1 else DIFF_RATIO_EXPONENT_EXT
     denom = float(max(len(G), len(H))) ** float(e)
     return DifferenceCount(count, count / denom)

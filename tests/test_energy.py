@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumprodlab import oracle
+from sumprodlab import oracle, sets
 from sumprodlab.energy import (EnergyReport, cauchy_schwarz_chain, energy,
                                growth_chain_report, make_triple_witness,
                                pair_energy_bound_ratio, plunnecke_ruzsa_check,
                                product_shift_identity, shifted_subgroup_ratio,
                                triple_cover_count, triple_cover_totals)
 from sumprodlab.fields import make_field
-from sumprodlab.sets import ESet
+from sumprodlab.sets import ESet, difference_set, product_set, sum_set
 
 
 def S(ctx, codes):
@@ -49,7 +49,7 @@ def test_energy_two_sets_and_empty():
 
 
 def test_energy_extension_field_paths():
-    # additive path uses digit matrices, multiplicative goes through dlog tables
+    # both kinds run on the digitwise array arithmetic; 0 takes no special path
     ctx = make_field(3, 2)
     sub = ctx.subfield(1)
     assert energy(sub, kind="additive").value == \
@@ -71,6 +71,27 @@ def test_energy_matches_oracle(pm, kind, data):
     A = S(ctx, data.draw(pool))
     B = S(ctx, data.draw(pool))
     assert energy(A, B, kind=kind).value == oracle.energy_brute(A, B, kind)
+
+
+@pytest.mark.parametrize("block", [None, 64])
+@pytest.mark.parametrize("pm", [(2 ** 31 - 1, 1), (2, 23), (3, 15)])
+def test_sorted_merge_above_dense_limit(pm, block, monkeypatch):
+    # q > 2^22 counts by sorted merge; a tiny block also merges many blocks
+    if block is not None:
+        monkeypatch.setattr(sets, "_BLOCK", block)
+    ctx = make_field(*pm)
+    assert ctx.q > sets._DENSE_LIMIT
+    x = ctx.p if ctx.m > 1 else 5
+    geometric = [ctx.pow(x, k) for k in range(1, 4)]
+    A = S(ctx, [0, 1, 2, 3, 4, ctx.q - 1] + geometric)
+    B = S(ctx, [1, 2, ctx.q - 1] + geometric)
+    budget = oracle.OracleBudget(max_q=2 ** 31)
+    for X, Y in ((A, A), (A, B)):
+        for kind in ("additive", "multiplicative"):
+            assert energy(X, Y, kind=kind).value == oracle.energy_brute(X, Y, kind, budget)
+        assert list(product_set(X, Y).codes) == oracle.product_set_brute(X, Y, budget)
+        assert set(sum_set(X, Y).codes) == {ctx.add(a, b) for a in X for b in Y}
+        assert set(difference_set(X, Y).codes) == {ctx.sub(a, b) for a in X for b in Y}
 
 
 def test_shifted_subgroup_ratio_frozen():

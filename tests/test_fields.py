@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -178,3 +179,9 @@ def test_field_axioms(pm, data):
     # Frobenius is additive in characteristic p
     p = ctx.p
     assert ctx.pow(ctx.add(x, y), p) == ctx.add(ctx.pow(x, p), ctx.pow(y, p))
+    # the array operations agree with the scalar ones over a broadcast grid
+    xs = [0, ctx.q - 1, x, y]
+    ys = [0, ctx.q - 1, y, z, 1]
+    grid = np.asarray(xs)[:, None], np.asarray(ys)[None, :]
+    for vop, op in ((ctx.vadd, ctx.add), (ctx.vsub, ctx.sub), (ctx.vmul, ctx.mul)):
+        assert vop(*grid).tolist() == [[op(a, b) for b in ys] for a in xs]
