@@ -88,10 +88,9 @@ def shifted_subgroup_ratio(gamma: ESet, x) -> float:
         raise ValueError("ratio needs |gamma| >= 2")
     if 0 in gamma or 1 not in gamma:
         raise ValueError("input is not a multiplicative subgroup")
-    for a in gamma.codes:
-        for b in gamma.codes:
-            if ctx.mul(a, b) not in gamma:
-                raise ValueError("input is not multiplicatively closed")
+    # 1 in gamma gives gamma within gamma*gamma, so equality is closure
+    if product_set(gamma, gamma) != gamma:
+        raise ValueError("input is not multiplicatively closed")
     e = energy(shift(gamma, x), kind="multiplicative").value
     return e / (n * n * math.log(n))
 

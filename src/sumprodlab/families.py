@@ -60,10 +60,4 @@ def generate_family(ctx: Field, family: str, size: int, seed: int,
             raise ValueError("interval family needs a prime field")
         return ESet(ctx, range(1, size + 1))
     # geometric: g has order q - 1, so the first `size` powers are distinct
-    g = ctx.generator()
-    codes = []
-    cur = 1
-    for _ in range(size):
-        codes.append(cur)
-        cur = ctx.mul(cur, g)
-    return ESet(ctx, codes)
+    return ESet(ctx, ctx.powers(ctx.generator(), size).tolist())

@@ -6,22 +6,26 @@ Multiplication reduces modulo a monic irreducible polynomial picked
 deterministically (the one whose low-coefficient vector has the smallest
 base-p value), so a field is pinned by (p, m) alone and codes are portable.
 
-Field contexts are immutable after construction.  The generator, trace
-basis, character roots and lookup tables are write-once caches computed on
-first use; recomputing them in a race is idempotent, so contexts may be
-shared between threads.
+Field contexts are immutable after construction.  Every per-field table
+lives on the Field: the generator, the trace basis, the generator powers
+g^0, ..., g^(q-2) (for q <= TABLE_LIMIT), the trace of every code and the
+p-th roots of unity.  Each is a write-once cache computed on first use and
+handed out read-only; recomputing one in a race is idempotent, so contexts
+may be shared between threads.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
-__all__ = ["Field", "make_field", "is_prime", "factorize", "divisors", "MAX_ORDER"]
+__all__ = ["Field", "make_field", "is_prime", "factorize", "divisors", "MAX_ORDER",
+           "TABLE_LIMIT"]
 
 MAX_ORDER = 2 ** 31  # keeps every count downstream inside exact 64-bit integer range
+TABLE_LIMIT = 1 << 22  # generator-power and discrete-log tables only up to this order
+_BLOCK = 1 << 20       # elements per block of an array operation, divided by Field.width
 
 # Witnesses making Miller-Rabin deterministic far beyond 2^31.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -170,6 +174,11 @@ def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
 class Field:
     """A finite field GF(p^m) whose elements are integer codes in [0, q)."""
 
@@ -196,10 +205,7 @@ class Field:
         # write-once caches
         self._generator = None
         self._trace_basis = None
-        self._roots = None
         self._subfields = {}
-        self._gpow = None
-        self._dlog = None
 
     def _reduction_rows(self):
         # row k-m holds the coefficients of t^k mod modulus, m <= k <= 2m-2
@@ -428,6 +434,26 @@ class Field:
             out += d * t
         return out % self.p
 
+    def powers(self, h, count):
+        """h^0, ..., h^(count-1) as an int64 array, by doubling.
+
+        out[k:2k] = out[:k] * h^k, taken in blocks of about _BLOCK / width
+        elements, so a table of n powers costs log2(n) array steps.
+        """
+        self.check(h)
+        out = np.empty(count, dtype=np.int64)
+        out[:1] = 1
+        k, hk = 1, h
+        rows = max(1, _BLOCK // self.width)
+        while k < count:
+            n = min(k, count - k)
+            for i in range(0, n, rows):
+                j = min(n, i + rows)
+                out[k + i:k + j] = self.vmul(out[i:j], hk)
+            k += n
+            hk = self.mul(hk, hk)
+        return out
+
     # -- structure ------------------------------------------------------------
 
     def _trace_basis_codes(self):
@@ -468,14 +494,20 @@ class Field:
             i += 1
         return total % p
 
+    @functools.cached_property
+    def trace_table(self):
+        """Read-only int64 array of Tr(x) for every code x."""
+        return _read_only(self.vtrace(np.arange(self.q, dtype=np.int64)))
+
+    @functools.cached_property
+    def roots(self):
+        """Read-only complex array of exp(2*pi*i * k / p) for k < p."""
+        ang = 2.0 * np.pi * np.arange(self.p) / self.p
+        return _read_only(np.cos(ang) + 1j * np.sin(ang))
+
     def additive_char(self, a, x) -> complex:
         """exp(2*pi*i * Tr(a*x) / p), a unit-modulus complex number."""
-        r = self._roots
-        if r is None:
-            tau = 2.0 * math.pi / self.p
-            r = tuple(complex(math.cos(tau * k), math.sin(tau * k)) for k in range(self.p))
-            self._roots = r
-        return r[self.trace(self.mul(a, x))]
+        return complex(self.roots[self.trace(self.mul(a, x))])
 
     def generator(self):
         """Smallest-code element of multiplicative order q - 1 (cached)."""
@@ -492,6 +524,34 @@ class Field:
             self._generator = g
         return g
 
+    def _closed_powers(self, t):
+        """(powers(h, t), h) for h = g^((q-1)/t), after checking that h^t = 1."""
+        h = self.pow(self.generator(), (self.q - 1) // t)
+        codes = self.powers(h, t)
+        if self.mul(int(codes[-1]), h) != 1:
+            raise RuntimeError("subgroup enumeration did not close")
+        return codes, h
+
+    @functools.cached_property
+    def _gpow(self):
+        """Read-only g^0, ..., g^(q-2); unit_subgroup uses it for q <= TABLE_LIMIT."""
+        return _read_only(self._closed_powers(self.q - 1)[0])
+
+    def unit_subgroup(self, t):
+        """(codes, h): the order-t subgroup of the unit group and its generator.
+
+        h = g^((q-1)/t) is a Python int and codes is the int64 array
+        h^0, ..., h^(t-1); t must divide q - 1.  For q <= TABLE_LIMIT the codes
+        are a read-only stride of the cached generator powers g^0, ..., g^(q-2).
+        """
+        n = self.q - 1
+        if t < 1 or n % t != 0:
+            raise ValueError(f"{t} does not divide q - 1 = {n}")
+        if self.q > TABLE_LIMIT:
+            return self._closed_powers(t)
+        step = n // t
+        return self._gpow[::step], int(self._gpow[step % n])
+
     def subfield(self, nu):
         """The subfield of order p^nu as an ESet; nu must divide m.
 
@@ -504,43 +564,23 @@ class Field:
         if cached is None:
             from .sets import ESet
 
-            size = self.p ** nu - 1
-            step = (self.q - 1) // size
-            h = self.pow(self.generator(), step)
-            codes = [0]
-            cur = 1
-            for _ in range(size):
-                codes.append(cur)
-                cur = self.mul(cur, h)
-            if cur != 1:
-                raise RuntimeError("subgroup enumeration did not close")
-            cached = ESet(self, codes)
+            codes, _ = self.unit_subgroup(self.p ** nu - 1)
+            cached = ESet(self, [0] + codes.tolist())
             self._subfields[nu] = cached
         return cached
 
     def dlog_tables(self):
-        """(powers-of-generator, discrete-log) lookup tables; dlog[0] = -1.
+        """(gpow, dlog): read-only int64 arrays, gpow[k] = g^k and dlog[g^k] = k; dlog[0] = -1.
 
-        Built once by q - 1 repeated multiplications.  Limited to q <= 2^22;
+        Built from the cached generator powers.  Limited to q <= TABLE_LIMIT;
         these tables only back fast counting paths, never the definitions.
         """
-        if self._gpow is None:
-            if self.q > (1 << 22):
-                raise ValueError("lookup tables are limited to q <= 2^22")
-            g = self.generator()
-            n = self.q - 1
-            gpow = [0] * n
-            dlog = [-1] * self.q
-            cur = 1
-            for k in range(n):
-                gpow[k] = cur
-                dlog[cur] = k
-                cur = self.mul(cur, g)
-            if cur != 1:
-                raise RuntimeError("generator order check failed while building tables")
-            self._gpow = tuple(gpow)
-            self._dlog = tuple(dlog)
-        return self._gpow, self._dlog
+        if self.q > TABLE_LIMIT:
+            raise ValueError("lookup tables are limited to q <= 2^22")
+        gpow, _ = self.unit_subgroup(self.q - 1)
+        dlog = np.full(self.q, -1, dtype=np.int64)
+        dlog[gpow] = np.arange(self.q - 1)
+        return gpow, _read_only(dlog)
 
 
 @functools.lru_cache(maxsize=None)

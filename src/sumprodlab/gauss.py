@@ -16,6 +16,7 @@ codes in increasing order, which is bit-reproducible for a given platform.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,18 +38,15 @@ NONTRIVIAL_EXPONENT = 29.0 / 57.0
 GAUSS_CSV_HEADER = ("q", "p", "m", "n", "a", "re", "im", "abs", "weil",
                     "konyagin", "paper_bound", "ratio_weil", "ratio_paper")
 
-_POWER_CACHE: dict = {}
-_POWER_CACHE_LIMIT = 16
-_TRACE_CACHE: dict = {}
-_ROOTS_CACHE: dict = {}
 
-
+@functools.lru_cache(maxsize=16)
 def _power_table(ctx: Field, n: int):
-    """Array y with y[x] = x**n for every code x, by square-and-multiply."""
-    key = (ctx.p, ctx.m, n)
-    cached = _POWER_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """Read-only array y with y[x] = x**n for every code x, by square-and-multiply.
+
+    Deliberately not gpow[n * dlog(x)]: the subgroup side of the check
+    S_n = 1 + n * S(a, G_n) is built from the generator powers, so a wrong
+    table would then enter both sides and the check would still pass.
+    """
     result = np.ones(ctx.q, dtype=np.int64)
     base = np.arange(ctx.q, dtype=np.int64)
     e = n
@@ -58,33 +56,13 @@ def _power_table(ctx: Field, n: int):
         e >>= 1
         if e:
             base = ctx.vmul(base, base)
-    if len(_POWER_CACHE) >= _POWER_CACHE_LIMIT:
-        _POWER_CACHE.pop(next(iter(_POWER_CACHE)))
-    _POWER_CACHE[key] = result
+    result.flags.writeable = False
     return result
 
 
-def _trace_table(ctx: Field):
-    key = (ctx.p, ctx.m)
-    tab = _TRACE_CACHE.get(key)
-    if tab is None:
-        tab = ctx.vtrace(np.arange(ctx.q, dtype=np.int64))
-        _TRACE_CACHE[key] = tab
-    return tab
-
-
-def _roots_table(ctx: Field):
-    tab = _ROOTS_CACHE.get(ctx.p)
-    if tab is None:
-        ang = 2.0 * np.pi * np.arange(ctx.p) / ctx.p
-        tab = np.cos(ang) + 1j * np.sin(ang)
-        _ROOTS_CACHE[ctx.p] = tab
-    return tab
-
-
 def _char_sum_over_codes(ctx, a, codes):
-    tr = _trace_table(ctx)[ctx.vmul(a, codes)]
-    return complex(np.sum(_roots_table(ctx)[tr]))
+    tr = ctx.trace_table[ctx.vmul(a, codes)]
+    return complex(np.sum(ctx.roots[tr]))
 
 
 def _validate(ctx, n, a, need_divisor):

@@ -1,7 +1,7 @@
 """Finite subsets of a field and the product/sum/shift/dilate algebra on them.
 
 An ESet is immutable: a sorted tuple of element codes plus a lazily built
-constant-time membership structure.  All set operations return new ESets
+frozenset for membership.  All set operations return new ESets
 and require both operands to live in the same field.
 """
 
@@ -11,11 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field
+from .fields import _BLOCK, Field
 
-_TABLE_LIMIT = 1 << 22  # byte-table membership below this order, hash set above
 _DENSE_LIMIT = 1 << 22  # pair counts by bincount below this order, sorted merge above
-_BLOCK = 1 << 20        # pairs per block of a one-array operation
 
 
 class ESet:
@@ -61,15 +59,7 @@ class ESet:
     def __contains__(self, code):
         mem = self._member
         if mem is None:
-            if self.ctx.q <= _TABLE_LIMIT:
-                mem = bytearray(self.ctx.q)
-                for c in self.codes:
-                    mem[c] = 1
-            else:
-                mem = frozenset(self.codes)
-            self._member = mem
-        if type(mem) is bytearray:
-            return 0 <= code < self.ctx.q and mem[code] == 1
+            mem = self._member = frozenset(self.codes)
         return code in mem
 
 

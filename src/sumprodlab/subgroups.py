@@ -52,17 +52,8 @@ class SubgroupInfo:
 
 def subgroup_of_order(ctx: Field, t: int) -> SubgroupInfo:
     """The unique subgroup of order t of the cyclic unit group; t must divide q - 1."""
-    if t < 1 or (ctx.q - 1) % t != 0:
-        raise ValueError(f"{t} does not divide q - 1 = {ctx.q - 1}")
-    h = ctx.pow(ctx.generator(), (ctx.q - 1) // t)
-    codes = []
-    cur = 1
-    for _ in range(t):
-        codes.append(cur)
-        cur = ctx.mul(cur, h)
-    if cur != 1:
-        raise RuntimeError("subgroup enumeration did not close")
-    return SubgroupInfo(ESet(ctx, codes), t, h)
+    codes, h = ctx.unit_subgroup(t)
+    return SubgroupInfo(ESet(ctx, codes.tolist()), t, h)
 
 
 def nth_power_subgroup(ctx: Field, n: int) -> SubgroupInfo:
@@ -71,6 +62,11 @@ def nth_power_subgroup(ctx: Field, n: int) -> SubgroupInfo:
         raise ValueError("n must be a positive integer")
     t = (ctx.q - 1) // math.gcd(n, ctx.q - 1)
     return replace(subgroup_of_order(ctx, t), n=n)
+
+
+def _subfield_count(G: SubgroupInfo, nu: int) -> int:
+    """|G ∩ F| for the subfield F of degree nu."""
+    return int(np.isin(G.elements.codes, G.ctx.subfield(nu).codes).sum())
 
 
 def subfield_intersection(G: SubgroupInfo, nu: int) -> tuple[int, int]:
@@ -88,8 +84,7 @@ def subfield_intersection(G: SubgroupInfo, nu: int) -> tuple[int, int]:
         raise ValueError(f"n = {n} must divide q - 1 = {ctx.q - 1}")
     if nu < 1 or nu >= ctx.m or ctx.m % nu != 0:
         raise ValueError(f"{nu} is not a proper divisor of m = {ctx.m}")
-    F = ctx.subfield(nu)
-    exact = sum(1 for z in G.elements.codes if z in F)
+    exact = _subfield_count(G, nu)
     e = ctx.p ** nu - 1
     num = math.gcd(n, (ctx.q - 1) // e) * e
     if num % n != 0:
@@ -143,8 +138,7 @@ def subfield_overlap_condition(G: SubgroupInfo,
     ctx = G.ctx
     out = []
     for nu in _proper_degrees(ctx.m):
-        F = ctx.subfield(nu)
-        lhs = float(sum(1 for z in G.elements.codes if z in F))
+        lhs = float(_subfield_count(G, nu))
         rhs = len(G.elements) ** delta1
         out.append(ConditionReport(nu, lhs, rhs, lhs / rhs, lhs <= rhs))
     return out

@@ -44,6 +44,16 @@ def test_families_frozen_gf7():
     assert set(generate_family(f7, "random", 3, 42).codes) == {1, 2, 5}
 
 
+def test_geometric_family_gf16():
+    f16 = make_field(2, 4)  # t^4 + t + 1, generator t = 2
+    g = f16.generator()
+    assert g == 2
+    assert generate_family(f16, "geometric", 8, 0).codes == (1, 2, 3, 4, 6, 8, 11, 12)
+    for size in range(1, 16):
+        codes = generate_family(f16, "geometric", size, 0).codes
+        assert codes == tuple(sorted(f16.pow(g, k) for k in range(size)))
+
+
 def test_random_family_stream_determinism():
     f97 = make_field(97)
     a = generate_family(f97, "random", 10, 5, trial=2, stream=0)

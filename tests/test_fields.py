@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumprodlab import fields
 from sumprodlab.fields import (MAX_ORDER, Field, divisors, factorize, is_prime,
                                make_field, smallest_irreducible)
 
@@ -152,15 +153,48 @@ def test_subfield_is_multiplicatively_closed():
 
 
 def test_dlog_tables():
-    ctx = make_field(13)
-    gpow, dlog = ctx.dlog_tables()
-    assert dlog[0] == -1
-    assert gpow[0] == 1
-    for k, v in enumerate(gpow):
-        assert dlog[v] == k
-    for x in range(1, 13):
-        for y in range(1, 13):
-            assert ctx.mul(x, y) == gpow[(dlog[x] + dlog[y]) % 12]
+    for ctx in (make_field(13), make_field(3, 4)):
+        gpow, dlog = ctx.dlog_tables()
+        assert not gpow.flags.writeable and not dlog.flags.writeable
+        assert dlog[0] == -1
+        assert gpow[0] == 1
+        assert gpow.tolist() == [ctx.pow(ctx.generator(), k) for k in range(ctx.q - 1)]
+        for k, v in enumerate(gpow):
+            assert dlog[v] == k
+        for x in range(1, ctx.q):
+            for y in range(1, ctx.q):
+                assert ctx.mul(x, y) == gpow[(dlog[x] + dlog[y]) % (ctx.q - 1)]
+    with pytest.raises(ValueError, match="limited"):
+        make_field(2, 23).dlog_tables()
+
+
+@pytest.mark.parametrize("pm", [(13, 1), (2, 4), (3, 3), (7, 2)])
+def test_powers_by_doubling(pm, monkeypatch):
+    # a block of 3 elements splits the doubling steps into many blocks
+    ctx = make_field(*pm)
+    for block in (None, 3):
+        if block is not None:
+            monkeypatch.setattr(fields, "_BLOCK", block)
+        for h in (1, 2, ctx.q - 1, ctx.generator()):
+            for count in (0, 1, 2, 5, 17, 40):
+                got = ctx.powers(h, count)
+                assert got.dtype == np.int64
+                assert got.tolist() == [ctx.pow(h, k) for k in range(count)]
+    with pytest.raises(ValueError):
+        ctx.powers(np.int64(2), 3)
+
+
+def test_unit_subgroup_paths_agree(monkeypatch):
+    # the generator-power stride and the direct enumeration give the same groups
+    ctx = make_field(3, 4)
+    table = {t: ctx.unit_subgroup(t) for t in divisors(ctx.q - 1)}
+    monkeypatch.setattr(fields, "TABLE_LIMIT", 1)
+    for t, (codes, h) in table.items():
+        assert not codes.flags.writeable
+        direct, h2 = ctx.unit_subgroup(t)
+        assert (h2, sorted(direct.tolist())) == (h, sorted(codes.tolist()))
+    with pytest.raises(ValueError):
+        ctx.unit_subgroup(7)
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from sumprodlab.fields import make_field
-from sumprodlab.sets import ESet
+from sumprodlab.fields import TABLE_LIMIT, make_field
+from sumprodlab.sets import ESet, product_set
 from sumprodlab.subgroups import (DIFF_RATIO_EXPONENT_EXT,
                                   DIFF_RATIO_EXPONENT_PRIME,
                                   GCD_CONDITION_DELTA,
@@ -37,6 +37,19 @@ def test_subgroup_of_order_frozen():
         subgroup_of_order(f7, 4)
     with pytest.raises(ValueError):
         subgroup_of_order(f7, 0)
+
+
+@pytest.mark.parametrize("pm,t", [((2, 23), 47), ((2 ** 31 - 1, 1), 331)])
+def test_subgroup_of_order_above_table_limit(pm, t):
+    # above the generator-table limit the subgroup is t powers of its generator
+    ctx = make_field(*pm)
+    assert ctx.q > TABLE_LIMIT
+    G = subgroup_of_order(ctx, t)
+    assert type(G.generator_power) is int
+    assert G.generator_power == ctx.pow(ctx.generator(), (ctx.q - 1) // t)
+    assert len(G.elements) == t and 1 in G.elements
+    assert all(ctx.pow(x, t) == 1 for x in G.elements)
+    assert product_set(G.elements, G.elements) == G.elements
 
 
 def test_nth_power_subgroup_frozen():
