@@ -7,16 +7,18 @@ deterministically (the one whose low-coefficient vector has the smallest
 base-p value), so a field is pinned by (p, m) alone and codes are portable.
 
 Field contexts are immutable after construction.  Every per-field table
-lives on the Field: the generator, the trace basis, the generator powers
-g^0, ..., g^(q-2) (for q <= TABLE_LIMIT), the trace of every code and the
-p-th roots of unity.  Each is a write-once cache computed on first use and
-handed out read-only; recomputing one in a race is idempotent, so contexts
-may be shared between threads.
+lives on the Field: the generator, the trace basis, the subfields, the
+trace of every code and the p-th roots of unity.  Each is a write-once cache
+computed on first use and handed out read-only; recomputing one in a race is
+idempotent, so contexts may be shared between threads.  Powers of an element
+are listed by doubling (powers) and not cached: a subgroup of order t costs
+O(t) work whatever the field order.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -24,7 +26,7 @@ __all__ = ["Field", "make_field", "is_prime", "factorize", "divisors", "MAX_ORDE
            "TABLE_LIMIT"]
 
 MAX_ORDER = 2 ** 31  # keeps every count downstream inside exact 64-bit integer range
-TABLE_LIMIT = 1 << 22  # generator-power and discrete-log tables only up to this order
+TABLE_LIMIT = 1 << 22  # dlog_tables only up to this order
 _BLOCK = 1 << 20       # elements per block of an array operation, divided by Field.width
 
 # Witnesses making Miller-Rabin deterministic far beyond 2^31.
@@ -506,8 +508,13 @@ class Field:
         return _read_only(np.cos(ang) + 1j * np.sin(ang))
 
     def additive_char(self, a, x) -> complex:
-        """exp(2*pi*i * Tr(a*x) / p), a unit-modulus complex number."""
-        return complex(self.roots[self.trace(self.mul(a, x))])
+        """exp(2*pi*i * Tr(a*x) / p), a unit-modulus complex number.
+
+        Computed on its own rather than read from roots, so that checks
+        comparing it with the array character sums test that table too.
+        """
+        angle = 2.0 * math.pi / self.p * self.trace(self.mul(a, x))
+        return complex(math.cos(angle), math.sin(angle))
 
     def generator(self):
         """Smallest-code element of multiplicative order q - 1 (cached)."""
@@ -524,33 +531,20 @@ class Field:
             self._generator = g
         return g
 
-    def _closed_powers(self, t):
-        """(powers(h, t), h) for h = g^((q-1)/t), after checking that h^t = 1."""
-        h = self.pow(self.generator(), (self.q - 1) // t)
-        codes = self.powers(h, t)
-        if self.mul(int(codes[-1]), h) != 1:
-            raise RuntimeError("subgroup enumeration did not close")
-        return codes, h
-
-    @functools.cached_property
-    def _gpow(self):
-        """Read-only g^0, ..., g^(q-2); unit_subgroup uses it for q <= TABLE_LIMIT."""
-        return _read_only(self._closed_powers(self.q - 1)[0])
-
     def unit_subgroup(self, t):
         """(codes, h): the order-t subgroup of the unit group and its generator.
 
         h = g^((q-1)/t) is a Python int and codes is the int64 array
-        h^0, ..., h^(t-1); t must divide q - 1.  For q <= TABLE_LIMIT the codes
-        are a read-only stride of the cached generator powers g^0, ..., g^(q-2).
+        h^0, ..., h^(t-1), checked to close (h^t = 1); t must divide q - 1.
         """
         n = self.q - 1
         if t < 1 or n % t != 0:
             raise ValueError(f"{t} does not divide q - 1 = {n}")
-        if self.q > TABLE_LIMIT:
-            return self._closed_powers(t)
-        step = n // t
-        return self._gpow[::step], int(self._gpow[step % n])
+        h = self.pow(self.generator(), n // t)
+        codes = self.powers(h, t)
+        if self.mul(int(codes[-1]), h) != 1:
+            raise RuntimeError("subgroup enumeration did not close")
+        return codes, h
 
     def subfield(self, nu):
         """The subfield of order p^nu as an ESet; nu must divide m.
@@ -572,7 +566,7 @@ class Field:
     def dlog_tables(self):
         """(gpow, dlog): read-only int64 arrays, gpow[k] = g^k and dlog[g^k] = k; dlog[0] = -1.
 
-        Built from the cached generator powers.  Limited to q <= TABLE_LIMIT;
+        Built by doubling on every call.  Limited to q <= TABLE_LIMIT;
         these tables only back fast counting paths, never the definitions.
         """
         if self.q > TABLE_LIMIT:
@@ -580,7 +574,7 @@ class Field:
         gpow, _ = self.unit_subgroup(self.q - 1)
         dlog = np.full(self.q, -1, dtype=np.int64)
         dlog[gpow] = np.arange(self.q - 1)
-        return gpow, _read_only(dlog)
+        return _read_only(gpow), _read_only(dlog)
 
 
 @functools.lru_cache(maxsize=None)

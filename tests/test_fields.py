@@ -184,19 +184,6 @@ def test_powers_by_doubling(pm, monkeypatch):
         ctx.powers(np.int64(2), 3)
 
 
-def test_unit_subgroup_paths_agree(monkeypatch):
-    # the generator-power stride and the direct enumeration give the same groups
-    ctx = make_field(3, 4)
-    table = {t: ctx.unit_subgroup(t) for t in divisors(ctx.q - 1)}
-    monkeypatch.setattr(fields, "TABLE_LIMIT", 1)
-    for t, (codes, h) in table.items():
-        assert not codes.flags.writeable
-        direct, h2 = ctx.unit_subgroup(t)
-        assert (h2, sorted(direct.tolist())) == (h, sorted(codes.tolist()))
-    with pytest.raises(ValueError):
-        ctx.unit_subgroup(7)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(FIELD_POOL), st.data())
 def test_field_axioms(pm, data):

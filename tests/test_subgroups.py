@@ -41,7 +41,7 @@ def test_subgroup_of_order_frozen():
 
 @pytest.mark.parametrize("pm,t", [((2, 23), 47), ((2 ** 31 - 1, 1), 331)])
 def test_subgroup_of_order_above_table_limit(pm, t):
-    # above the generator-table limit the subgroup is t powers of its generator
+    # fields too large for dlog tables still give a subgroup in O(t) work
     ctx = make_field(*pm)
     assert ctx.q > TABLE_LIMIT
     G = subgroup_of_order(ctx, t)
