@@ -250,12 +250,8 @@ def cauchy_schwarz_chain(A: ESet, B: ESet, C: ESet, d, w: TripleWitness) -> Cauc
     ab = product_set(A, B)
     alpha_ab = dilate(ab, w.alpha)
     beta_ab = dilate(ab, w.beta)
-    t = 0
-    sub = ctx.sub
-    for p1 in ab.codes:
-        for p2 in alpha_ab.codes:
-            if sub(p1, p2) in beta_ab:
-                t += 1
+    values, counts = _pair_counts(ctx, ab.codes, alpha_ab.codes, Field.vsub)
+    t = int(counts[np.isin(values, beta_ab.codes)].sum())
     lower = len(A) * w.cover
     if t < lower:
         raise RuntimeError(f"pair count {t} < |A| * cover = {lower}")
@@ -330,7 +326,7 @@ def growth_chain_report(A: ESet, B: ESet, C: ESet, d) -> ChainReport:
     ratio_kl = float(K ** 14 * L ** 12 / n)
     ineqs = []
     if 0 not in A and 0 not in B:
-        aa = product_set(A, A)
+        aa = ab if B == A else product_set(A, A)
         lhs = len(aa) * len(B)
         rhs = len(ab) ** 2
         holds = lhs <= rhs

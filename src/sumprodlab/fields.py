@@ -7,12 +7,12 @@ deterministically (the one whose low-coefficient vector has the smallest
 base-p value), so a field is pinned by (p, m) alone and codes are portable.
 
 Field contexts are immutable after construction.  Every per-field table
-lives on the Field: the generator, the trace basis, the subfields, the
-trace of every code and the p-th roots of unity.  Each is a write-once cache
-computed on first use and handed out read-only; recomputing one in a race is
-idempotent, so contexts may be shared between threads.  Powers of an element
-are listed by doubling (powers) and not cached: a subgroup of order t costs
-O(t) work whatever the field order.
+lives on the Field: the generator, the trace basis, the subfields and the
+p-th roots of unity.  Each is a write-once cache computed on first use and
+handed out read-only; recomputing one in a race is idempotent, so contexts
+may be shared between threads.  Powers of an element are listed by
+doubling (powers) and not cached: a subgroup of order t costs O(t) work
+whatever the field order.
 """
 
 from __future__ import annotations
@@ -495,11 +495,6 @@ class Field:
             x //= p
             i += 1
         return total % p
-
-    @functools.cached_property
-    def trace_table(self):
-        """Read-only int64 array of Tr(x) for every code x."""
-        return _read_only(self.vtrace(np.arange(self.q, dtype=np.int64)))
 
     @functools.cached_property
     def roots(self):

@@ -61,7 +61,7 @@ def _power_table(ctx: Field, n: int):
 
 
 def _char_sum_over_codes(ctx, a, codes):
-    tr = ctx.trace_table[ctx.vmul(a, codes)]
+    tr = ctx.vtrace(ctx.vmul(a, codes))
     return complex(np.sum(ctx.roots[tr]))
 
 

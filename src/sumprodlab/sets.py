@@ -3,10 +3,18 @@
 An ESet is immutable: a sorted tuple of element codes plus a lazily built
 frozenset for membership.  All set operations return new ESets
 and require both operands to live in the same field.
+
+Set operations and energies rest on one pair count, _pair_counts, with
+three exact integer paths: sums and differences in a prime field count
+tile by tile into cache-sized windows, with no modulo per pair; products
+and every op in GF(p^m), m > 1, bincount over all q codes; fields above
+2^22 merge sorted blocks.  There is no FFT path, because a transform over
+a field near 10^6 needs more memory than the exact counts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +22,7 @@ import numpy as np
 from .fields import _BLOCK, Field
 
 _DENSE_LIMIT = 1 << 22  # pair counts by bincount below this order, sorted merge above
+_TILE = 1 << 16  # prime-field sum/difference tiles: narrowest width, fewest mean pairs
 
 
 class ESet:
@@ -79,31 +88,93 @@ def _merge(values, counts):
     return values[first], np.add.reduceat(counts[order], first)
 
 
+def _op_blocks(ctx: Field, xa, ya, op):
+    """op(x, y) over xa x ya, raveled, in row blocks of about _BLOCK / ctx.width pairs."""
+    rows = max(1, _BLOCK // (max(1, ya.size) * ctx.width))
+    for i in range(0, xa.size, rows):
+        yield op(ctx, xa[i:i + rows, None], ya[None, :]).ravel()
+
+
+def _tiled_counts(p: int, xs, ys, negate: bool):
+    """Counts over Z_p of x + y, or of x - y when negate, for xs, ys in [0, p).
+
+    [0, p) is cut into nb intervals of width w.  A pair of intervals (a, b)
+    bincounts its local sums (x - aw) + (y - bw), or its local differences
+    (x - aw) + (w - (y - bw)), into a window of 2w codes and adds the window
+    at offset (a + b)w, or (a - b - 1)w, mod p.  So no pair pays a modulo,
+    and each bincount writes into a window of 2w codes instead of scattering
+    over all p counts.  nb is at most ceil(p / _TILE), so w is at least
+    about _TILE, and at most sqrt(|X||Y| / _TILE), so a pair of intervals
+    holds _TILE pairs on average.  With nb = 1 the window would be 2p long;
+    the sums are folded below p instead.
+    """
+    nb = max(1, min(-(-p // _TILE), math.isqrt(xs.size * ys.size // _TILE)))
+    w = -(-p // nb)
+    if nb == 1:  # one interval: no sort, which small sets would pay per call
+        xt, yt = [xs], [ys]
+    else:
+        xs, ys = np.sort(xs), np.sort(ys)
+        edges = np.arange(nb + 1, dtype=np.int64) * w
+        xcut = np.searchsorted(xs, edges)
+        ycut = np.searchsorted(ys, edges)
+        xt = [xs[xcut[a]:xcut[a + 1]] - a * w for a in range(nb)]
+        yt = [ys[ycut[b]:ycut[b + 1]] - b * w for b in range(nb)]
+    if negate:
+        yt = [w - y for y in yt]
+    counts = np.zeros(p, dtype=np.int64)
+    for a, xl in enumerate(xt):
+        for b, yl in enumerate(yt):
+            if not (xl.size and yl.size):
+                continue
+            offset = ((a - b - 1) if negate else (a + b)) * w % p
+            rows = max(1, _BLOCK // yl.size)
+            for i in range(0, xl.size, rows):
+                z = (xl[i:i + rows, None] + yl).ravel()
+                if nb == 1:
+                    z[z >= p] -= p
+                    counts += np.bincount(z, minlength=p)
+                else:
+                    window = np.bincount(z, minlength=2 * w)
+                    head = min(window.size, p - offset)
+                    counts[offset:offset + head] += window[:head]
+                    # 2w <= p + 1 when nb >= 2, so a window wraps at most once
+                    counts[:window.size - head] += window[head:]
+    return counts
+
+
 def _pair_counts(ctx: Field, xs, ys, op):
     """(values, counts): the distinct op(x, y) over xs x ys, ascending, and how often each occurs.
 
-    op is one of Field's array operations, called as op(ctx, x, y).  Rows of
-    xs are taken in blocks of about _BLOCK / ctx.width pairs.  Counts go to a
-    bincount over all q codes when q <= _DENSE_LIMIT and to a sorted merge
-    above.
+    op is one of Field's array operations, called as op(ctx, x, y).  Three
+    exact integer paths, chosen by the field and the op:
+
+    - q > _DENSE_LIMIT: blocks of pairs go to a sorted merge, since a count
+      per code would not fit;
+    - prime fields, vadd and vsub: _tiled_counts, which bincounts cache-sized
+      windows and needs no modulo per pair;
+    - otherwise (vmul, or m > 1): blocks of op(x, y) go to a bincount over
+      all q codes.
+
+    There is no FFT path: an rfft/irfft pair of length 2^21 (p near 10^6)
+    raised a process's peak memory from 35 MB to 123 MB, while no array of
+    the tiled count is longer than the p counts themselves.
     """
     xa = np.asarray(xs, dtype=np.int64)
     ya = np.asarray(ys, dtype=np.int64)
-    dense = ctx.q <= _DENSE_LIMIT
-    values = np.zeros(0, dtype=np.int64)
-    counts = np.zeros(ctx.q if dense else 0, dtype=np.int64)
-    rows = max(1, _BLOCK // (max(1, ya.size) * ctx.width))
-    for i in range(0, xa.size, rows):
-        z = op(ctx, xa[i:i + rows, None], ya[None, :]).ravel()
-        if dense:
-            counts += np.bincount(z, minlength=ctx.q)
-        else:
+    if ctx.q > _DENSE_LIMIT:
+        values = counts = np.zeros(0, dtype=np.int64)
+        for z in _op_blocks(ctx, xa, ya, op):
             values, counts = _merge(np.concatenate([values, z]),
                                     np.concatenate([counts, np.ones_like(z)]))
-    if dense:
-        values = np.flatnonzero(counts)
-        counts = counts[values]
-    return values, counts
+        return values, counts
+    if ctx.m == 1 and op in (Field.vadd, Field.vsub):
+        counts = _tiled_counts(ctx.p, xa, ya, op is Field.vsub)
+    else:
+        counts = np.zeros(ctx.q, dtype=np.int64)
+        for z in _op_blocks(ctx, xa, ya, op):
+            counts += np.bincount(z, minlength=ctx.q)
+    values = np.flatnonzero(counts)
+    return values, counts[values]
 
 
 def _support(A: ESet, B: ESet, op) -> ESet:

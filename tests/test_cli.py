@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -136,6 +140,16 @@ def test_verify_cli(capsys):
     assert lines[-1] == "3/3 checks passed"
     assert all(ln.startswith("PASS") for ln in lines[:-1])
     assert any("gauss_sweep" in ln and "bound_checks=" in ln for ln in lines)
+
+
+def test_module_entry_point_from_checkout():
+    # python -m sumprodlab runs without an install, with src/ on PYTHONPATH
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "sumprodlab", "verify", "all", "--max-q", "64"],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "20/20 checks passed"
 
 
 def test_verify_cli_failure_exit_code(capsys, monkeypatch):

@@ -1,6 +1,9 @@
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +14,8 @@ from sumprodlab.energy import (EnergyReport, cauchy_schwarz_chain, energy,
                                pair_energy_bound_ratio, plunnecke_ruzsa_check,
                                product_shift_identity, shifted_subgroup_ratio,
                                triple_cover_count, triple_cover_totals)
-from sumprodlab.fields import make_field
-from sumprodlab.sets import ESet, difference_set, product_set, sum_set
+from sumprodlab.fields import Field, make_field
+from sumprodlab.sets import ESet, difference_set, dilate, product_set, sum_set
 
 
 def S(ctx, codes):
@@ -92,6 +95,60 @@ def test_sorted_merge_above_dense_limit(pm, block, monkeypatch):
         assert list(product_set(X, Y).codes) == oracle.product_set_brute(X, Y, budget)
         assert set(sum_set(X, Y).codes) == {ctx.add(a, b) for a in X for b in Y}
         assert set(difference_set(X, Y).codes) == {ctx.sub(a, b) for a in X for b in Y}
+
+
+@pytest.mark.parametrize("tile, block", [(1, None), (2, 7), (3, None), (5, 3), (None, None)])
+def test_tiled_prime_sums_and_differences(tile, block, monkeypatch):
+    # tiny tiles run many intervals, windows that wrap past p and row blocks
+    # inside a tile; the default _TILE keeps these small sets on one interval
+    if tile is not None:
+        monkeypatch.setattr(sets, "_TILE", tile)
+    if block is not None:
+        monkeypatch.setattr(sets, "_BLOCK", block)
+    rng = random.Random(f"tiles:{tile}:{block}")
+    for p in (2, 3, 101, 10007):
+        ctx = make_field(p)
+        budget = oracle.OracleBudget(max_q=p)
+        cases = [([0, p - 1], [0, p - 1]), ([0], [p - 1]), ([p - 1], [p - 1])]
+        for _ in range(4):
+            cases.append((rng.sample(range(p), min(p, rng.randint(1, 12))) + [0],
+                          rng.sample(range(p), min(p, rng.randint(1, 7))) + [p - 1]))
+        for xs, ys in cases:
+            A, B = S(ctx, xs), S(ctx, ys)
+            for op, scalar in ((Field.vadd, ctx.add), (Field.vsub, ctx.sub)):
+                # callers need not sort: the kernel sorts its inputs
+                values, counts = sets._pair_counts(ctx, A.codes[::-1], B.codes[::-1], op)
+                assert values.dtype == counts.dtype == np.int64
+                expect = sorted(Counter(scalar(a, b) for a in A for b in B).items())
+                assert list(zip(values.tolist(), counts.tolist())) == expect
+            assert list(sum_set(A, B).codes) == sorted({ctx.add(a, b) for a in A for b in B})
+            assert list(difference_set(A, B).codes) == sorted({ctx.sub(a, b) for a in A for b in B})
+            for X, Y in ((A, B), (B, A), (A, A)):
+                assert energy(X, Y).value == oracle.energy_brute(X, Y, "additive", budget)
+
+
+def _pair_count_loop(ctx, A, B, w):
+    """T of cauchy_schwarz_chain by the literal double loop over AB x alpha*AB."""
+    ab = product_set(A, B)
+    alpha_ab, beta_ab = dilate(ab, w.alpha), dilate(ab, w.beta)
+    return sum(1 for p1 in ab for p2 in alpha_ab if ctx.sub(p1, p2) in beta_ab)
+
+
+@pytest.mark.parametrize("tile", [3, None])
+@pytest.mark.parametrize("pm", [(101, 1), (10007, 1), (3, 4)])
+def test_chain_pair_count_matches_loop(pm, tile, monkeypatch):
+    if tile is not None:
+        monkeypatch.setattr(sets, "_TILE", tile)
+    ctx = make_field(*pm)
+    rng = random.Random(f"chain:{pm}")
+    for _ in range(3):
+        d = rng.randrange(1, ctx.q)
+        units = [x for x in range(1, ctx.q) if ctx.add(x, d) != 0]
+        A, B, C = (S(ctx, rng.sample(units, 7)) for _ in range(3))
+        aprime = sorted(ctx.add(a, d) for a in A)
+        w = make_triple_witness(A, C, d, *rng.sample(aprime, 3))
+        rec = cauchy_schwarz_chain(A, B, C, d, w)
+        assert rec.pair_count == _pair_count_loop(ctx, A, B, w)
 
 
 def test_shifted_subgroup_ratio_frozen():

@@ -61,6 +61,15 @@ def test_full_unit_group_and_singleton():
                          abs_tol=1e-12)
 
 
+def test_subgroup_sum_above_direct_guard():
+    # traces are taken only for the summed codes, never for all q of them
+    ctx = make_field(2, 23)
+    G = subgroup_of_order(ctx, 47)
+    for a in (1, 5, ctx.q - 1):
+        expect = sum(ctx.additive_char(a, x) for x in G.elements)
+        assert abs(subgroup_character_sum(ctx, G, a) - expect) <= 1e-9
+
+
 def test_agreement_direct_vs_subgroup():
     for p, m in [(13, 1), (5, 2), (2, 4)]:
         ctx = make_field(p, m)
