@@ -198,11 +198,13 @@ class Field:
         self.modulus = (0, 1) if m == 1 else smallest_irreducible(p, m)
         self._red = self._reduction_rows() if m > 1 else None
         self._place = [p ** i for i in range(m)]
-        # Scratch of the widest array operation, in int64 arrays of its
-        # output shape, by which the pair kernel sizes its blocks.  vmul keeps
-        # 2m + 1 alive for m > 1; they are charged 4x because that many
-        # mid-sized arrays come from the heap and stay resident once freed
-        # (measured as peak RSS), unlike the one large array of a prime field.
+        # Scratch charged per element of an array operation's output, in
+        # int64 arrays, by which the pair kernel sizes its blocks.  For m > 1
+        # vmul keeps m + 2 arrays of the output shape alive (m low rows, one
+        # high row, one product) besides the 2m digit arrays of its inputs;
+        # the charge 4(2m + 1) is larger because mid-sized arrays come from
+        # the heap and stay resident once freed (measured as peak RSS),
+        # unlike the one large array of a prime field.
         self.width = 1 if m == 1 else 4 * (2 * m + 1)
         # write-once caches
         self._generator = None
@@ -376,8 +378,13 @@ class Field:
     # code array of the broadcast shape.
 
     def _digits(self, x):
-        p = self.p
-        return [x // w % p for w in self._place]
+        """The m base-p digits of x, lowest first, by m - 1 divmods."""
+        digits = []
+        for _ in range(self.m - 1):
+            x, d = np.divmod(x, self.p)
+            digits.append(d)
+        digits.append(x)
+        return digits
 
     def _digitwise(self, x, y, op):
         p = self.p
@@ -404,8 +411,10 @@ class Field:
     def vmul(self, x, y):
         """Elementwise x * y over code arrays: digit convolution, then reduction.
 
-        Before reduction a coefficient is at most (2m - 1)(p - 1)^2 < 2^37,
-        so int64 holds every intermediate value exactly.
+        The m low coefficients (degree < m) accumulate in place; each high
+        coefficient k >= m is built alone, reduced mod p and folded into the
+        low ones through t^k mod modulus.  A low coefficient is at most
+        (2m - 1)(p - 1)^2 < 2^37, so int64 holds every value exactly.
         """
         p, m = self.p, self.m
         x = np.asarray(x, dtype=np.int64)
@@ -413,19 +422,22 @@ class Field:
         if m == 1:
             return x * y % p
         dx, dy = self._digits(x), self._digits(y)
-        prod = np.zeros((2 * m - 1,) + np.broadcast_shapes(x.shape, y.shape), dtype=np.int64)
+        low = np.zeros((m,) + np.broadcast_shapes(x.shape, y.shape), dtype=np.int64)
         for i in range(m):
-            for j in range(m):
-                prod[i + j] += dx[i] * dy[j]
+            for j in range(m - i):
+                low[i + j] += dx[i] * dy[j]
         for k in range(2 * m - 2, m - 1, -1):
-            c = prod[k] % p
+            high = dx[k - m + 1] * dy[m - 1]
+            for i in range(k - m + 2, m):
+                high += dx[i] * dy[k - i]
+            high %= p
             for i, r in enumerate(self._red[k - m]):
                 if r:
-                    prod[i] += c * r
-        out = prod[m - 1] % p
+                    low[i] += high * r
+        out = low[m - 1] % p
         for i in range(m - 2, -1, -1):
             out *= p
-            out += prod[i] % p
+            out += low[i] % p
         return out
 
     def vtrace(self, x):

@@ -5,11 +5,12 @@ frozenset for membership.  All set operations return new ESets
 and require both operands to live in the same field.
 
 Set operations and energies rest on one pair count, _pair_counts, with
-three exact integer paths: sums and differences in a prime field count
-tile by tile into cache-sized windows, with no modulo per pair; products
-and every op in GF(p^m), m > 1, bincount over all q codes; fields above
-2^22 merge sorted blocks.  There is no FFT path, because a transform over
-a field near 10^6 needs more memory than the exact counts.
+four exact paths: sums and differences in a prime field count tile by tile
+into cache-sized windows, with no modulo per pair; sums and differences of
+large sets in GF(p^m), m > 1, multiply transforms over the group Z_p^m;
+products, and small sets in GF(p^m), bincount over all q codes; fields
+above 2^22 merge sorted blocks.  Prime fields have no FFT path, because a
+transform over a field near 10^6 needs more memory than the exact counts.
 """
 
 from __future__ import annotations
@@ -23,6 +24,11 @@ from .fields import _BLOCK, Field
 
 _DENSE_LIMIT = 1 << 22  # pair counts by bincount below this order, sorted merge above
 _TILE = 1 << 16  # prime-field sum/difference tiles: narrowest width, fewest mean pairs
+# The Z_p^m transform counts sums and differences once the broadcast's
+# |X||Y|*width exceeds this many times m*p*q: measured on a 2-vCPU Xeon, a
+# broadcast pair costs 0.7-0.9 ns per unit of width, and the three transforms
+# 6-18 ns per m*p*q for q from 512 to 19683 (the most in the smallest fields).
+_TRANSFORM_RATIO = 16
 
 
 class ESet:
@@ -142,22 +148,89 @@ def _tiled_counts(p: int, xs, ys, negate: bool):
     return counts
 
 
+def _dft(ctx: Field):
+    """The p x p transform matrix over Z_p: [[1, 1], [1, -1]] in int64 for p = 2,
+    the complex p-th roots of unity w[j, k] = exp(2*pi*i * jk / p) otherwise."""
+    p = ctx.p
+    if p == 2:
+        return np.array([[1, 1], [1, -1]], dtype=np.int64)
+    k = np.arange(p)
+    return ctx.roots[np.outer(k, k) % p]
+
+
+def _transform(x, w, m, scratch):
+    """Apply w along each of the m digit axes of x (length p^m), in place.
+
+    Each step applies w to the leading axis of x viewed as (p, p^(m-1)) and
+    writes the result back transposed, which rotates the digit axes; after
+    m steps every axis has been transformed once and they are back in order.
+    The product is an einsum, not a matmul: a complex matmul goes to BLAS,
+    whose first call alone raised a process's peak memory by 0.4 MB.
+    """
+    p = w.shape[0]
+    for _ in range(m):
+        np.einsum("jk,kn->jn", w, x.reshape(p, -1), out=scratch.reshape(p, -1))
+        x.reshape(-1, p)[...] = scratch.reshape(p, -1).T
+    return x
+
+
+def _transform_counts(ctx: Field, xa, ya, same: bool, negate: bool):
+    """Counts over Z_p^m of x + y, or of x - y when negate, by transforms; None if inexact.
+
+    A count is a convolution over the additive group Z_p^m, so it is the
+    inverse transform of the product of the inputs' transforms (Tao-Vu,
+    Additive Combinatorics, ch. 4); same says ya is xa, which is transformed
+    once.  For p = 2 the transform is Walsh-Hadamard in int64, exact: values
+    stay below q^3 <= 2^57 while q*p <= _BLOCK, and the inverse divides by q
+    with a shift.  For odd p it is complex and the counts are rounded; None
+    is returned when a residual reaches 0.25, for the caller to count by
+    broadcast instead.
+    """
+    q, m = ctx.q, ctx.m
+    w = _dft(ctx)
+    scratch = np.empty(q, dtype=w.dtype)
+    fx = np.zeros(q, dtype=w.dtype)
+    np.add.at(fx, xa, 1)
+    _transform(fx, w, m, scratch)
+    if same:
+        fx *= fx.conj() if negate else fx  # the transform of -X conjugates that of X
+    else:
+        fy = np.zeros(q, dtype=w.dtype)
+        np.add.at(fy, ctx.vsub(0, ya) if negate else ya, 1)
+        fx *= _transform(fy, w, m, scratch)
+        del fy
+    _transform(fx, w.conj(), m, scratch)
+    del scratch
+    if ctx.p == 2:
+        return fx >> m
+    fx /= q
+    counts = np.rint(fx.real)
+    fx.real -= counts
+    if np.abs(fx).max() >= 0.25:
+        return None
+    del fx
+    return counts.astype(np.int64)
+
+
 def _pair_counts(ctx: Field, xs, ys, op):
     """(values, counts): the distinct op(x, y) over xs x ys, ascending, and how often each occurs.
 
-    op is one of Field's array operations, called as op(ctx, x, y).  Three
-    exact integer paths, chosen by the field and the op:
+    op is one of Field's array operations, called as op(ctx, x, y).  Four
+    exact paths, chosen by the field, the op and the sizes:
 
     - q > _DENSE_LIMIT: blocks of pairs go to a sorted merge, since a count
       per code would not fit;
     - prime fields, vadd and vsub: _tiled_counts, which bincounts cache-sized
       windows and needs no modulo per pair;
-    - otherwise (vmul, or m > 1): blocks of op(x, y) go to a bincount over
-      all q codes.
+    - m > 1, vadd and vsub, q*p <= _BLOCK and |X||Y|*width above
+      _TRANSFORM_RATIO * m*p*q: _transform_counts over Z_p^m, falling back
+      to the bincount below if its rounding is not exact;
+    - otherwise (vmul, or small sets for m > 1): blocks of op(x, y) go to a
+      bincount over all q codes.
 
-    There is no FFT path: an rfft/irfft pair of length 2^21 (p near 10^6)
-    raised a process's peak memory from 35 MB to 123 MB, while no array of
-    the tiled count is longer than the p counts themselves.
+    Prime fields have no FFT path: an rfft/irfft pair of length 2^21 (p near
+    10^6) raised a process's peak memory from 35 MB to 123 MB, while no array
+    of the tiled count is longer than the p counts themselves.
     """
     xa = np.asarray(xs, dtype=np.int64)
     ya = np.asarray(ys, dtype=np.int64)
@@ -167,9 +240,14 @@ def _pair_counts(ctx: Field, xs, ys, op):
             values, counts = _merge(np.concatenate([values, z]),
                                     np.concatenate([counts, np.ones_like(z)]))
         return values, counts
-    if ctx.m == 1 and op in (Field.vadd, Field.vsub):
-        counts = _tiled_counts(ctx.p, xa, ya, op is Field.vsub)
-    else:
+    counts = None
+    if op in (Field.vadd, Field.vsub):
+        if ctx.m == 1:
+            counts = _tiled_counts(ctx.p, xa, ya, op is Field.vsub)
+        elif (ctx.q * ctx.p <= _BLOCK and xa.size * ya.size * ctx.width
+              > _TRANSFORM_RATIO * ctx.m * ctx.p * ctx.q):
+            counts = _transform_counts(ctx, xa, ya, ys is xs, op is Field.vsub)
+    if counts is None:
         counts = np.zeros(ctx.q, dtype=np.int64)
         for z in _op_blocks(ctx, xa, ya, op):
             counts += np.bincount(z, minlength=ctx.q)

@@ -127,6 +127,101 @@ def test_tiled_prime_sums_and_differences(tile, block, monkeypatch):
                 assert energy(X, Y).value == oracle.energy_brute(X, Y, "additive", budget)
 
 
+# GF(p^m) fields, m > 1, whose sums and differences the Z_p^m transform can count
+TRANSFORM_FIELDS = [(2, 2), (2, 9), (2, 14), (3, 2), (3, 9), (5, 3), (7, 2)]
+
+
+def _spy_transform(monkeypatch):
+    """Record every _transform_counts call as (args, result)."""
+    calls = []
+    real = sets._transform_counts
+
+    def spy(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(sets, "_transform_counts", spy)
+    return calls
+
+
+def _transform_cases(ctx):
+    """Pairs of code lists: 0 and q - 1, one-element sets, |X| != |Y|."""
+    q = ctx.q
+    rng = random.Random(f"transform:{q}")
+    big = rng.sample(range(1, q), min(q - 1, 40))
+    return [([0], [q - 1]), ([q - 1], [0, 1]), ([0] + big, big[:7]),
+            (rng.sample(range(q), min(q, 9)), [0, q - 1])]
+
+
+@pytest.mark.parametrize("ratio", [0, math.inf])
+@pytest.mark.parametrize("pm", TRANSFORM_FIELDS)
+def test_transform_pair_counts(pm, ratio, monkeypatch):
+    # ratio 0 sends every nonempty sum and difference through the transform,
+    # infinity sends none to it; both must give the literal counts
+    monkeypatch.setattr(sets, "_TRANSFORM_RATIO", ratio)
+    calls = _spy_transform(monkeypatch)
+    ctx = make_field(*pm)
+    budget = oracle.OracleBudget(max_q=ctx.q)
+    cases = _transform_cases(ctx)
+    for xs, ys in cases:
+        A, B = S(ctx, xs), S(ctx, ys)
+        for X, Y in ((A, B), (B, A), (A, A)):  # A, A passes one tuple twice
+            for op, scalar in ((Field.vadd, ctx.add), (Field.vsub, ctx.sub)):
+                values, counts = sets._pair_counts(ctx, X.codes, Y.codes, op)
+                assert values.dtype == counts.dtype == np.int64
+                expect = Counter(scalar(a, b) for a in X for b in Y)
+                assert list(zip(values.tolist(), counts.tolist())) == sorted(expect.items())
+            value = energy(X, Y).value
+            assert value == sum(c * c for c in Counter(ctx.add(a, b) for a in X for b in Y).values())
+            if len(X) * len(Y) <= 100:
+                assert value == oracle.energy_brute(X, Y, "additive", budget)
+    # per case: three (X, Y) orders, each with vadd, vsub and the energy
+    assert len(calls) == (9 * len(cases) if ratio == 0 else 0)
+    assert all(out is not None for _, out in calls)
+    assert any(same for (_, _, _, same, _), _ in calls) == (ratio == 0)
+
+
+@pytest.mark.parametrize("pm", [(3, 2), (5, 3), (7, 2)])
+def test_transform_rounding_falls_back(pm, monkeypatch):
+    # a transform matrix off by 0.3 cannot round to the counts: the kernel
+    # must see the residual and count by broadcast, with identical results
+    ctx = make_field(*pm)
+    cases = _transform_cases(ctx)
+    A, B = S(ctx, cases[2][0]), S(ctx, cases[2][1])
+    ops = (Field.vadd, Field.vsub)
+    monkeypatch.setattr(sets, "_TRANSFORM_RATIO", math.inf)
+    exact = [sets._pair_counts(ctx, A.codes, Y.codes, op) for Y in (A, B) for op in ops]
+    monkeypatch.setattr(sets, "_TRANSFORM_RATIO", 0)
+    real = sets._dft
+    monkeypatch.setattr(sets, "_dft", lambda ctx: real(ctx) + 0.3)
+    calls = _spy_transform(monkeypatch)
+    got = [sets._pair_counts(ctx, A.codes, Y.codes, op) for Y in (A, B) for op in ops]
+    assert len(calls) == 4 and all(out is None for _, out in calls)
+    for (v0, c0), (v1, c1) in zip(exact, got):
+        assert v0.tolist() == v1.tolist() and c0.tolist() == c1.tolist()
+    assert energy(A, B).value == oracle.energy_brute(A, B, "additive",
+                                                     oracle.OracleBudget(max_q=ctx.q))
+
+
+def test_transform_needs_q_times_p_within_block(monkeypatch):
+    # q*p bounds the transform's arrays and the p = 2 values (q^3 <= 2^57)
+    monkeypatch.setattr(sets, "_TRANSFORM_RATIO", 0)
+    calls = _spy_transform(monkeypatch)
+    ctx = make_field(2, 20)  # q*p = 2^21 > _BLOCK
+    A = S(ctx, [0, 1, 5, ctx.q - 1])
+    assert energy(A).value == oracle.energy_brute(A, A, "additive",
+                                                  oracle.OracleBudget(max_q=ctx.q))
+    assert not calls
+    monkeypatch.setattr(sets, "_BLOCK", 16)
+    for pm, taken in (((2, 3), True), ((3, 2), False)):  # q*p = 16 and 27
+        ctx = make_field(*pm)
+        A = S(ctx, [0, 1, 5, ctx.q - 1])
+        assert energy(A).value == oracle.energy_brute(A, A, "additive")
+        assert bool(calls) == taken
+        calls.clear()
+
+
 def _pair_count_loop(ctx, A, B, w):
     """T of cauchy_schwarz_chain by the literal double loop over AB x alpha*AB."""
     ab = product_set(A, B)

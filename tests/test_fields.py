@@ -184,6 +184,21 @@ def test_powers_by_doubling(pm, monkeypatch):
         ctx.powers(np.int64(2), 3)
 
 
+@pytest.mark.parametrize("pm", [(2, 2), (2, 7), (2, 14), (3, 9), (5, 6), (7, 4), (13, 3)])
+def test_vmul_matches_scalar_mul(pm):
+    # high coefficients are folded one at a time; check every shape that
+    # broadcasts: grid, scalar against a vector, and elementwise
+    ctx = make_field(*pm)
+    rng = np.random.default_rng(sum(pm))
+    xs = np.concatenate([[0, 1, ctx.q - 1], rng.integers(0, ctx.q, 9)])
+    ys = np.concatenate([[0, 1, ctx.q - 1], rng.integers(0, ctx.q, 5)])
+    grid = ctx.vmul(xs[:, None], ys[None, :])
+    assert grid.dtype == np.int64
+    assert grid.tolist() == [[ctx.mul(int(a), int(b)) for b in ys] for a in xs]
+    assert ctx.vmul(int(xs[-1]), ys).tolist() == [ctx.mul(int(xs[-1]), int(b)) for b in ys]
+    assert ctx.vmul(xs[:8], ys).tolist() == [ctx.mul(int(a), int(b)) for a, b in zip(xs, ys)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(FIELD_POOL), st.data())
 def test_field_axioms(pm, data):

@@ -1,7 +1,11 @@
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumprodlab import sets
 from sumprodlab.fields import make_field
 from sumprodlab.sets import (CosetStat, ESet, coset_scan, difference_set,
                              dilate, product_set, shift, sum_set)
@@ -71,6 +75,23 @@ def test_extension_field_ops():
     assert sum_set(sub, sub) == sub
     nonzero = ESet(ctx, [c for c in sub.codes if c])
     assert product_set(nonzero, nonzero) == nonzero
+
+
+@pytest.mark.parametrize("ratio", [0, math.inf])
+@pytest.mark.parametrize("pm", [(2, 2), (2, 9), (2, 14), (3, 2), (3, 9), (5, 3), (7, 2)])
+def test_extension_sum_and_difference_sets(pm, ratio, monkeypatch):
+    # ratio 0 counts every sum and difference by the Z_p^m transform,
+    # infinity by the broadcast bincount
+    monkeypatch.setattr(sets, "_TRANSFORM_RATIO", ratio)
+    ctx = F(*pm)
+    rng = random.Random(f"sumsets:{pm}")
+    q = ctx.q
+    A = ESet(ctx, [0, q - 1] + rng.sample(range(q), min(q, 30)))
+    B = ESet(ctx, rng.sample(range(1, q), min(q - 1, 6)))
+    one = ESet(ctx, [q - 1])
+    for X, Y in ((A, B), (B, A), (A, A), (one, A), (one, one)):
+        assert list(sum_set(X, Y).codes) == sorted({ctx.add(a, b) for a in X for b in Y})
+        assert list(difference_set(X, Y).codes) == sorted({ctx.sub(a, b) for a in X for b in Y})
 
 
 def test_mixed_fields_rejected():
