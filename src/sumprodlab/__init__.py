@@ -20,8 +20,9 @@ from .sets import (CosetStat, ESet, coset_scan, difference_set, dilate,
 from .subgroups import (ConditionReport, DifferenceCount, SubgroupInfo,
                         difference_count, gcd_growth_condition,
                         nth_power_subgroup, subfield_intersection,
-                        subfield_overlap_condition, subgroup_energy_exponent,
-                        subgroup_of_order, subgroup_orders)
+                        subfield_overlap_condition, subgroup_additive_energy,
+                        subgroup_energy_exponent, subgroup_of_order,
+                        subgroup_orders)
 from .sweep import ResultRow, SweepConfig, exponent_fit, rows_to_csv, run_sweep
 from .verify import CheckResult, run_suite
 
@@ -38,7 +39,8 @@ __all__ = [
     "nth_power_subgroup", "pair_energy_bound_ratio", "plunnecke_ruzsa_check",
     "product_set", "product_shift_identity", "rows_to_csv", "run_suite",
     "run_sweep", "shift", "shifted_subgroup_ratio", "subfield_intersection",
-    "subfield_overlap_condition", "subgroup_character_sum",
-    "subgroup_energy_exponent", "subgroup_of_order", "subgroup_orders",
-    "sum_set", "triple_cover_count", "triple_cover_totals", "__version__",
+    "subfield_overlap_condition", "subgroup_additive_energy",
+    "subgroup_character_sum", "subgroup_energy_exponent", "subgroup_of_order",
+    "subgroup_orders", "sum_set", "triple_cover_count", "triple_cover_totals",
+    "__version__",
 ]

@@ -5,10 +5,15 @@ The direct path evaluates sum over x of psi_a(x^n) literally: a power table
 x -> x^n built by square-and-multiply (vectorized polynomial arithmetic, no
 generator or discrete-log shortcuts), then one character per element.  The
 subgroup path uses the exact decomposition S_n(a) = 1 + n * S(a, G_n) for
-n | q - 1.  The two are computed independently and must agree within
-1e-6 * q; Weil's bound and Konyagin's energy bound are exact theorems and
-are asserted (plus 1e-6 rounding slack), while the power-saving comparison
-bound is report-only.
+n | q - 1.  The two are computed independently and must agree exactly, in
+integers: x -> x^n sends 0 to 0 and the units n-to-1 onto G_n, so the
+traces Tr(a * x^n) over all x are n copies of the traces over a*G_n plus
+one 0, count for count.  Weil's bound and Konyagin's energy bound are exact
+theorems and are asserted (plus 1e-6 rounding slack), while the
+power-saving comparison bound is report-only.
+
+G_n, its codes and E+(G_n) depend on (field, n) alone, so the last such
+table is kept and every character a of that (field, n) shares it.
 
 Complex accumulation uses numpy's fixed pairwise reduction over element
 codes in increasing order, which is bit-reproducible for a given platform.
@@ -22,10 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import energy
-from .fields import Field
+from .fields import Field, factorize
 from .sets import ESet
-from .subgroups import SubgroupInfo, nth_power_subgroup
+from .subgroups import SubgroupInfo, nth_power_subgroup, subgroup_additive_energy
 
 MAX_DIRECT_Q = 10 ** 6  # runtime guard for full-field summation
 
@@ -39,30 +43,82 @@ GAUSS_CSV_HEADER = ("q", "p", "m", "n", "a", "re", "im", "abs", "weil",
                     "konyagin", "paper_bound", "ratio_weil", "ratio_paper")
 
 
-@functools.lru_cache(maxsize=16)
-def _power_table(ctx: Field, n: int):
-    """Read-only array y with y[x] = x**n for every code x, by square-and-multiply.
-
-    Deliberately not gpow[n * dlog(x)]: the subgroup side of the check
-    S_n = 1 + n * S(a, G_n) is built from the generator powers, so a wrong
-    table would then enter both sides and the check would still pass.
-    """
+def _vpow(ctx: Field, base, e: int):
+    """base**e elementwise by square-and-multiply; base is left untouched."""
     result = np.ones(ctx.q, dtype=np.int64)
-    base = np.arange(ctx.q, dtype=np.int64)
-    e = n
     while e:
         if e & 1:
             result = ctx.vmul(result, base)
         e >>= 1
         if e:
             base = ctx.vmul(base, base)
+    return result
+
+
+@functools.lru_cache(maxsize=16)
+def _power_table(ctx: Field, n: int):
+    """Read-only array y with y[x] = x**n for every code x, by square-and-multiply.
+
+    For n > 1 dividing q - 1, the table is that of n / ell raised to the
+    power ell, for the smallest prime ell of q - 1 dividing n; the table of
+    n / ell comes from this cache, or is chained the same way.  A scan over
+    the divisors of q - 1 in ascending order so pays about 2 log2(ell)
+    array multiplications per table instead of 2 log2(n).  ell is taken
+    from factorize(q - 1), never from factorize(n); other n are built from
+    the codes directly, so chains are at most log2(q) long.
+
+    Deliberately not gpow[n * dlog(x)]: the subgroup side of the check
+    S_n = 1 + n * S(a, G_n) is built from the generator powers, so a wrong
+    table would then enter both sides and the check would still pass.
+    """
+    if n > 1 and (ctx.q - 1) % n == 0:
+        ell = next(ell for ell, _ in factorize(ctx.q - 1) if n % ell == 0)
+        result = _vpow(ctx, _power_table(ctx, n // ell), ell)
+    else:
+        result = _vpow(ctx, np.arange(ctx.q, dtype=np.int64), n)
     result.flags.writeable = False
     return result
 
 
+class _SubgroupTable:
+    """G_n and its codes, and E+(G_n) once first read: what every a of one (field, n) shares."""
+
+    def __init__(self, ctx: Field, n: int):
+        self.G = nth_power_subgroup(ctx, n)
+        self.codes = np.asarray(self.G.elements.codes, dtype=np.int64)
+        self.codes.flags.writeable = False
+
+    @functools.cached_property
+    def energy(self) -> int:
+        return subgroup_additive_energy(self.G)
+
+
+# One table: both callers visit every a of one (field, n) in a row, and
+# G_n of order (q-1)/2 near q = 10^6 holds about 18 MB of Python ints.
+@functools.lru_cache(maxsize=1)
+def _subgroup_table(ctx: Field, n: int) -> _SubgroupTable:
+    return _SubgroupTable(ctx, n)
+
+
 def _char_sum_over_codes(ctx, a, codes):
+    """(sum of psi_a over codes, the traces Tr(a * code) it summed)."""
     tr = ctx.vtrace(ctx.vmul(a, codes))
-    return complex(np.sum(ctx.roots[tr]))
+    return complex(np.sum(ctx.roots[tr])), tr
+
+
+def _evaluate(ctx, n, a):
+    """(S_n(a) summed over the x^n table, S(a, G_n)), once they are seen to agree exactly.
+
+    Tr(a * x^n) over all x must count n times Tr(a * G_n), plus one 0 for
+    x = 0, trace for trace; otherwise this raises RuntimeError.
+    """
+    ssum, subgroup_traces = _char_sum_over_codes(ctx, a, _subgroup_table(ctx, n).codes)
+    direct, direct_traces = _char_sum_over_codes(ctx, a, _power_table(ctx, n))
+    expect = n * np.bincount(subgroup_traces, minlength=ctx.p)
+    expect[0] += 1
+    if not np.array_equal(np.bincount(direct_traces, minlength=ctx.p), expect):
+        raise RuntimeError(f"direct and subgroup evaluations disagree: {direct} vs {1 + n * ssum}")
+    return direct, ssum
 
 
 def _validate(ctx, n, a, need_divisor):
@@ -80,7 +136,7 @@ def _validate(ctx, n, a, need_divisor):
 def gauss_sum(ctx: Field, n: int, a) -> complex:
     """Direct evaluation of sum over all x of psi_a(x^n)."""
     _validate(ctx, n, a, need_divisor=False)
-    return _char_sum_over_codes(ctx, a, _power_table(ctx, n))
+    return _char_sum_over_codes(ctx, a, _power_table(ctx, n))[0]
 
 
 def subgroup_character_sum(ctx: Field, G, a) -> complex:
@@ -91,21 +147,17 @@ def subgroup_character_sum(ctx: Field, G, a) -> complex:
     ctx.check(a)
     if a == 0:
         raise ValueError("character index a must be nonzero")
-    return _char_sum_over_codes(ctx, a, np.asarray(elements.codes, dtype=np.int64))
+    return _char_sum_over_codes(ctx, a, np.asarray(elements.codes, dtype=np.int64))[0]
 
 
 def gauss_sum_by_subgroup(ctx: Field, n: int, a) -> complex:
     """S_n(a) through the exact identity 1 + n * S(a, G_n), for n | q - 1.
 
     Every nonzero x^n hits each element of G_n exactly n times, so the two
-    evaluations must agree; disagreement beyond 1e-6 * q raises.
+    evaluations must agree trace for trace; any disagreement raises.
     """
     _validate(ctx, n, a, need_divisor=True)
-    value = 1 + n * subgroup_character_sum(ctx, nth_power_subgroup(ctx, n), a)
-    direct = gauss_sum(ctx, n, a)
-    if abs(value - direct) > 1e-6 * ctx.q:
-        raise RuntimeError(f"direct and subgroup evaluations disagree: {direct} vs {value}")
-    return value
+    return 1 + n * _evaluate(ctx, n, a)[1]
 
 
 @dataclass(frozen=True)
@@ -162,26 +214,23 @@ class GaussReport:
 def gauss_bounds_report(ctx: Field, n: int, a) -> GaussReport:
     """Direct + subgroup evaluation of S_n(a) with all magnitude bounds.
 
-    Requires 2 <= n | q - 1 and a != 0.  Asserts (with 1e-6 slack for
-    rounding): |S_n(a)| <= (n-1) sqrt(q); |S(a, G_n)| <= q^(1/8) E+(G_n)^(1/4);
-    and consistency of the two evaluations within 1e-6 * q.
+    Requires 2 <= n | q - 1 and a != 0.  Asserts the exact agreement of the
+    two evaluations (as in gauss_sum_by_subgroup), then, with 1e-6 slack
+    for rounding, |S_n(a)| <= (n-1) sqrt(q) and
+    |S(a, G_n)| <= q^(1/8) E+(G_n)^(1/4).
     """
     if n < 2:
         raise ValueError("bounds need n >= 2 (n = 1 gives the zero sum)")
     _validate(ctx, n, a, need_divisor=True)
-    G = nth_power_subgroup(ctx, n)
-    ssum = subgroup_character_sum(ctx, G, a)
-    direct = gauss_sum(ctx, n, a)
+    direct, ssum = _evaluate(ctx, n, a)
     magnitude = abs(direct)
     weil = (n - 1) * math.sqrt(ctx.q)
     if magnitude > weil + 1e-6:
         raise RuntimeError(f"Weil bound violated: |S| = {magnitude} > {weil}")
-    e_g = energy(G.elements, kind="additive").value
+    e_g = _subgroup_table(ctx, n).energy
     konyagin = ctx.q ** 0.125 * e_g ** 0.25
     if abs(ssum) > konyagin + 1e-6:
         raise RuntimeError(f"energy bound violated: |S(a,G)| = {abs(ssum)} > {konyagin}")
-    if abs(direct - (1 + n * ssum)) > 1e-6 * ctx.q:
-        raise RuntimeError("direct and subgroup evaluations disagree")
     d2 = ENERGY_SAVING_DELTA
     paper_bound = ctx.q ** ((7 - 2 * d2) / 8) * n ** ((2 + 2 * d2) / 8)
     return GaussReport(ctx.p, ctx.m, ctx.q, n, a, direct, magnitude, weil,

@@ -101,7 +101,7 @@ def _op_blocks(ctx: Field, xa, ya, op):
         yield op(ctx, xa[i:i + rows, None], ya[None, :]).ravel()
 
 
-def _tiled_counts(p: int, xs, ys, negate: bool):
+def _tiled_counts(p: int, xs, ys, negate: bool, same: bool):
     """Counts over Z_p of x + y, or of x - y when negate, for xs, ys in [0, p).
 
     [0, p) is cut into nb intervals of width w.  A pair of intervals (a, b)
@@ -113,23 +113,29 @@ def _tiled_counts(p: int, xs, ys, negate: bool):
     about _TILE, and at most sqrt(|X||Y| / _TILE), so a pair of intervals
     holds _TILE pairs on average.  With nb = 1 the window would be 2p long;
     the sums are folded below p instead.
+
+    same says ys holds the same codes as xs.  Sums are then symmetric: the
+    intervals (a, b) and (b, a) give the same window, so only b <= a is
+    visited and the window of b < a is added twice.
     """
     nb = max(1, min(-(-p // _TILE), math.isqrt(xs.size * ys.size // _TILE)))
     w = -(-p // nb)
     if nb == 1:  # one interval: no sort, which small sets would pay per call
         xt, yt = [xs], [ys]
     else:
-        xs, ys = np.sort(xs), np.sort(ys)
+        xs = np.sort(xs)
+        ys = xs if same else np.sort(ys)
         edges = np.arange(nb + 1, dtype=np.int64) * w
         xcut = np.searchsorted(xs, edges)
         ycut = np.searchsorted(ys, edges)
         xt = [xs[xcut[a]:xcut[a + 1]] - a * w for a in range(nb)]
         yt = [ys[ycut[b]:ycut[b + 1]] - b * w for b in range(nb)]
+    symmetric = same and not negate and nb > 1
     if negate:
         yt = [w - y for y in yt]
     counts = np.zeros(p, dtype=np.int64)
     for a, xl in enumerate(xt):
-        for b, yl in enumerate(yt):
+        for b, yl in enumerate(yt[:a + 1] if symmetric else yt):
             if not (xl.size and yl.size):
                 continue
             offset = ((a - b - 1) if negate else (a + b)) * w % p
@@ -141,6 +147,8 @@ def _tiled_counts(p: int, xs, ys, negate: bool):
                     counts += np.bincount(z, minlength=p)
                 else:
                     window = np.bincount(z, minlength=2 * w)
+                    if symmetric and b < a:
+                        window *= 2
                     head = min(window.size, p - offset)
                     counts[offset:offset + head] += window[:head]
                     # 2w <= p + 1 when nb >= 2, so a window wraps at most once
@@ -221,7 +229,8 @@ def _pair_counts(ctx: Field, xs, ys, op):
     - q > _DENSE_LIMIT: blocks of pairs go to a sorted merge, since a count
       per code would not fit;
     - prime fields, vadd and vsub: _tiled_counts, which bincounts cache-sized
-      windows and needs no modulo per pair;
+      windows and needs no modulo per pair (for the sums of a set with
+      itself, passed as the same object, it visits half the tile pairs);
     - m > 1, vadd and vsub, q*p <= _BLOCK and |X||Y|*width above
       _TRANSFORM_RATIO * m*p*q: _transform_counts over Z_p^m, falling back
       to the bincount below if its rounding is not exact;
@@ -243,7 +252,7 @@ def _pair_counts(ctx: Field, xs, ys, op):
     counts = None
     if op in (Field.vadd, Field.vsub):
         if ctx.m == 1:
-            counts = _tiled_counts(ctx.p, xa, ya, op is Field.vsub)
+            counts = _tiled_counts(ctx.p, xa, ya, op is Field.vsub, ys is xs)
         elif (ctx.q * ctx.p <= _BLOCK and xa.size * ya.size * ctx.width
               > _TRANSFORM_RATIO * ctx.m * ctx.p * ctx.q):
             counts = _transform_counts(ctx, xa, ya, ys is xs, op is Field.vsub)

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .energy import energy
-from .fields import Field, divisors
+from .fields import _BLOCK, Field, divisors
 from .sets import ESet, _same_field
 
 # default exponents for the report-only power conditions
@@ -48,6 +48,46 @@ class SubgroupInfo:
     @property
     def ctx(self) -> Field:
         return self.elements.ctx
+
+
+def subgroup_additive_energy(G: SubgroupInfo) -> int:
+    """E+(G) of a unit subgroup G, counted over its coset orbits when |G|^2 > q - 1.
+
+    Multiplying by c in G permutes G, so r(z), the number of pairs of G
+    summing to z, is constant on each coset zG, and the n = (q-1)/|G| cosets
+    g^j G (g the generator) split the units.  So
+
+        E+(G) = r(0)^2 + |G| * sum_{j<n} r(g^j)^2,
+
+    with r(0) = |G| when -1 lies in G and 0 otherwise, and r(c) the number
+    of y in G with c - y in G: n|G| = q - 1 differences, looked up in a
+    membership mask, instead of |G|^2 pairs.  Below the crossover the energy
+    kernel is cheaper and counts the pairs.  The mass identity
+    r(0) + |G| * sum_j r(g^j) = |G|^2 is asserted.
+    """
+    ctx, t = G.ctx, G.order
+    if (ctx.q - 1) % t != 0:
+        raise ValueError(f"order {t} does not divide q - 1 = {ctx.q - 1}")
+    if t * t <= ctx.q - 1:
+        return energy(G.elements, kind="additive").value
+    return _orbit_energy(G)
+
+
+def _orbit_energy(G: SubgroupInfo) -> int:
+    """E+(G) over the coset orbits, as subgroup_additive_energy describes."""
+    ctx, t = G.ctx, G.order
+    codes = np.asarray(G.elements.codes, dtype=np.int64)
+    member = np.zeros(ctx.q, dtype=bool)
+    member[codes] = True
+    reps = ctx.powers(ctx.generator(), (ctx.q - 1) // t)
+    r = np.empty(reps.size, dtype=np.int64)
+    rows = max(1, _BLOCK // (t * ctx.width))
+    for i in range(0, reps.size, rows):
+        r[i:i + rows] = member[ctx.vsub(reps[i:i + rows, None], codes)].sum(axis=1)
+    r0 = t if member[ctx.neg(1)] else 0
+    if r0 + t * int(r.sum()) != t * t:
+        raise RuntimeError("orbit counts do not add up to |G|^2; counting bug")
+    return r0 * r0 + t * int(r @ r)
 
 
 def subgroup_of_order(ctx: Field, t: int) -> SubgroupInfo:
@@ -182,7 +222,7 @@ def subgroup_energy_exponent(G: SubgroupInfo) -> SubgroupEnergy:
     n = len(G.elements)
     if n < 2:
         raise ValueError("energy exponent needs |G| >= 2")
-    e = energy(G.elements, kind="additive").value
+    e = subgroup_additive_energy(G)
     return SubgroupEnergy(e, math.log(e) / math.log(n))
 
 

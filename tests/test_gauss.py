@@ -1,9 +1,12 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
-from sumprodlab.fields import make_field
+from sumprodlab import gauss
+from sumprodlab.energy import energy
+from sumprodlab.fields import divisors, make_field
 from sumprodlab.gauss import (GAUSS_CSV_HEADER, MAX_DIRECT_Q, GaussReport,
                               gauss_bounds_report, gauss_sum,
                               gauss_sum_by_subgroup, subgroup_character_sum)
@@ -121,3 +124,99 @@ def test_validation():
     assert big.q > MAX_DIRECT_Q
     with pytest.raises(ValueError, match="guard"):
         gauss_sum(big, 2, 1)
+
+
+def _literal_powers(ctx, n):
+    return np.array([ctx.pow(x, n) for x in range(ctx.q)], dtype=np.int64)
+
+
+@pytest.mark.parametrize("pm", [(8191, 1), (3, 4), (2, 6), (5, 2)])
+def test_chained_power_tables(pm, monkeypatch):
+    ctx = make_field(*pm)
+    exponents = []
+    real_vpow = gauss._vpow
+
+    def spy(ctx_, base, e):
+        exponents.append(e)
+        return real_vpow(ctx_, base, e)
+
+    monkeypatch.setattr(gauss, "_vpow", spy)
+    gauss._power_table.cache_clear()
+    primes = {ell for ell in divisors(ctx.q - 1) if ell > 1 and len(divisors(ell)) == 2}
+    for n in divisors(ctx.q - 1):  # ascending: every n > 1 raises a cached table to a prime
+        table = gauss._power_table(ctx, n)
+        assert not table.flags.writeable
+        assert np.array_equal(table, _literal_powers(ctx, n))
+    assert exponents[0] == 1 and set(exponents[1:]) <= primes
+    # a cold cache chains down through the divisors it needs
+    gauss._power_table.cache_clear()
+    top = ctx.q - 1
+    assert np.array_equal(gauss._power_table(ctx, top), _literal_powers(ctx, top))
+    # n not dividing q - 1 is built from the codes, whatever it shares with q - 1
+    for n in (ctx.q, 2 * (ctx.q - 1), 10 ** 9 + 7):
+        assert np.array_equal(gauss._power_table(ctx, n), _literal_powers(ctx, n))
+    gauss._power_table.cache_clear()
+
+
+def test_large_prime_power_index_is_quick(monkeypatch):
+    # a large prime n is never factored (trial division would take sqrt(n) steps)
+    ctx = make_field(8191)
+    n = 10 ** 9 + 7
+    factored = []
+    real_factorize = gauss.factorize
+    monkeypatch.setattr(gauss, "factorize", lambda k: factored.append(k) or real_factorize(k))
+    gauss._power_table.cache_clear()
+    # x^n = x^(n mod (q - 1)) on the units, and 0^n = 0
+    expect = _literal_powers(ctx, n % (ctx.q - 1))
+    expect[0] = 0
+    assert np.array_equal(gauss._power_table(ctx, n), expect)
+    assert cmath.isclose(gauss_sum(ctx, n, 3), gauss_sum(ctx, n % (ctx.q - 1), 3), abs_tol=1e-9)
+    gauss_sum(ctx, 2 * 3 * 5 * 7, 3)
+    assert set(factored) == {ctx.q - 1}
+    gauss._power_table.cache_clear()
+
+
+def test_subgroup_table_shared_across_characters(monkeypatch):
+    ctx = make_field(8191)
+    built, counted = [], []
+    real_subgroup, real_energy = gauss.nth_power_subgroup, gauss.subgroup_additive_energy
+
+    def subgroup_spy(ctx_, n):
+        built.append(n)
+        return real_subgroup(ctx_, n)
+
+    def energy_spy(G):
+        counted.append(G.n)
+        return real_energy(G)
+
+    monkeypatch.setattr(gauss, "nth_power_subgroup", subgroup_spy)
+    monkeypatch.setattr(gauss, "subgroup_additive_energy", energy_spy)
+    gauss._subgroup_table.cache_clear()
+    for n in (2, 4095):
+        reps = [gauss_bounds_report(ctx, n, a) for a in (1, 2, 17, ctx.q - 1)]
+        gauss_sum_by_subgroup(ctx, n, 5)
+        G = real_subgroup(ctx, n)
+        assert {r.group_energy for r in reps} == {energy(G.elements).value}
+    assert built == [2, 4095] and counted == [2, 4095]
+    # only the last (field, n) is kept, and a table not asked for its energy never counts it
+    gauss_sum_by_subgroup(ctx, 2, 5)
+    assert built == [2, 4095, 2] and counted == [2, 4095]
+    gauss._subgroup_table.cache_clear()
+
+
+@pytest.mark.parametrize("pm, n", [((13, 1), 3), ((3, 4), 4), ((2, 6), 9)])
+def test_perturbed_power_table_raises(pm, n, monkeypatch):
+    ctx = make_field(*pm)
+    a = next(a for a in range(1, ctx.q) if ctx.trace(a) != 0)
+    real = gauss._power_table
+
+    def perturbed(ctx_, n_):
+        table = real(ctx_, n_).copy()
+        table[1] = 0  # 1^n = 1 now counts at trace 0 instead of Tr(a)
+        return table
+
+    monkeypatch.setattr(gauss, "_power_table", perturbed)
+    with pytest.raises(RuntimeError, match="disagree"):
+        gauss_bounds_report(ctx, n, a)
+    with pytest.raises(RuntimeError, match="disagree"):
+        gauss_sum_by_subgroup(ctx, n, a)

@@ -1,12 +1,15 @@
 import math
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumprodlab import sets
-from sumprodlab.fields import make_field
+from sumprodlab.energy import energy
+from sumprodlab.fields import Field, make_field
 from sumprodlab.sets import (CosetStat, ESet, coset_scan, difference_set,
                              dilate, product_set, shift, sum_set)
 
@@ -92,6 +95,54 @@ def test_extension_sum_and_difference_sets(pm, ratio, monkeypatch):
     for X, Y in ((A, B), (B, A), (A, A), (one, A), (one, one)):
         assert list(sum_set(X, Y).codes) == sorted({ctx.add(a, b) for a in X for b in Y})
         assert list(difference_set(X, Y).codes) == sorted({ctx.sub(a, b) for a in X for b in Y})
+
+
+@pytest.mark.parametrize("tile", [1, 2, 3, 5])
+def test_symmetric_prime_tiles(tile, monkeypatch):
+    # X + X passed as one object visits tile pairs b <= a only and doubles
+    # b < a; an equal copy, and every difference, takes the full loop
+    monkeypatch.setattr(sets, "_TILE", tile)
+    flags = []
+    real = sets._tiled_counts
+
+    def spy(p, xs, ys, negate, same):
+        flags.append(same)
+        return real(p, xs, ys, negate, same)
+
+    monkeypatch.setattr(sets, "_tiled_counts", spy)
+    rng = random.Random(f"symmetric:{tile}")
+    for p in (2, 3, 101, 10007):
+        ctx = F(p)
+        cases = [[0], [p - 1], [0, p - 1]]
+        cases += [rng.sample(range(p), min(p, rng.randint(2, 14))) + [0, p - 1] for _ in range(3)]
+        for codes in cases:
+            X = ESet(ctx, codes)
+            copy = tuple(list(X.codes))
+            for op, scalar in ((Field.vadd, ctx.add), (Field.vsub, ctx.sub)):
+                expect = sorted(Counter(scalar(a, b) for a in X for b in X).items())
+                for ys, same in ((X.codes, True), (copy, False)):
+                    del flags[:]
+                    values, counts = sets._pair_counts(ctx, X.codes, ys, op)
+                    assert flags == [same]
+                    assert list(zip(values.tolist(), counts.tolist())) == expect
+            pairs = Counter(ctx.add(a, b) for a in X for b in X)
+            assert energy(X).value == sum(c * c for c in pairs.values())
+            assert energy(X, ESet(ctx, codes)).value == energy(X).value
+
+
+def test_symmetric_tiles_visit_half_the_pairs(monkeypatch):
+    monkeypatch.setattr(sets, "_TILE", 1)
+    bins = []
+    real_bincount = np.bincount
+    monkeypatch.setattr(sets.np, "bincount", lambda z, **kw: bins.append(z.size) or real_bincount(z, **kw))
+    ctx = F(101)
+    X = ESet(ctx, range(0, 101, 3))
+    sets._pair_counts(ctx, X.codes, X.codes, Field.vadd)
+    half = sum(bins)
+    del bins[:]
+    sets._pair_counts(ctx, X.codes, tuple(list(X.codes)), Field.vadd)
+    n = len(X)
+    assert sum(bins) == n * n and half == n * (n + 1) // 2
 
 
 def test_mixed_fields_rejected():

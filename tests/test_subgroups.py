@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from sumprodlab.fields import TABLE_LIMIT, make_field
+from sumprodlab import subgroups
+from sumprodlab.energy import energy
+from sumprodlab.fields import TABLE_LIMIT, divisors, make_field
 from sumprodlab.sets import ESet, product_set
 from sumprodlab.subgroups import (DIFF_RATIO_EXPONENT_EXT,
                                   DIFF_RATIO_EXPONENT_PRIME,
@@ -12,6 +14,7 @@ from sumprodlab.subgroups import (DIFF_RATIO_EXPONENT_EXT,
                                   difference_count, gcd_growth_condition,
                                   nth_power_subgroup, subfield_intersection,
                                   subfield_overlap_condition,
+                                  subgroup_additive_energy,
                                   subgroup_energy_exponent, subgroup_of_order,
                                   subgroup_orders)
 
@@ -171,3 +174,39 @@ def test_subgroup_orders():
     assert subgroup_orders(make_field(7)) == [1, 2, 3, 6]
     assert subgroup_orders(make_field(2, 4)) == [1, 3, 5, 15]
     assert subgroup_orders(make_field(2)) == [1]
+
+
+@pytest.mark.parametrize("pm", [(2, 3), (2, 10), (3, 5), (7, 4), (101, 1), (8191, 1)])
+def test_orbit_energy_matches_kernel(pm, monkeypatch):
+    # every n | q - 1: G on both sides of the |G|^2 > q - 1 crossover, and
+    # (for odd q) with -1 in G and not
+    ctx = make_field(*pm)
+    kernel_calls = []
+    real_energy = subgroups.energy
+
+    def spy(*args, **kwargs):
+        kernel_calls.append(args)
+        return real_energy(*args, **kwargs)
+
+    monkeypatch.setattr(subgroups, "energy", spy)
+    minus_one = set()
+    for n in divisors(ctx.q - 1):
+        G = nth_power_subgroup(ctx, n)
+        expect = energy(G.elements).value
+        assert subgroups._orbit_energy(G) == expect
+        before = len(kernel_calls)
+        assert subgroup_additive_energy(G) == expect
+        assert (len(kernel_calls) > before) == (G.order ** 2 <= ctx.q - 1)
+        minus_one.add(ctx.neg(1) in G.elements)
+    assert minus_one == ({True} if ctx.p == 2 else {True, False})
+    assert subgroup_energy_exponent(nth_power_subgroup(ctx, 1)).value == \
+        energy(nth_power_subgroup(ctx, 1).elements).value
+
+
+def test_orbit_energy_validation():
+    f7 = make_field(7)
+    with pytest.raises(ValueError, match="divide"):
+        subgroup_additive_energy(SubgroupInfo(ESet(f7, [1, 2, 3, 4]), 4, 1))
+    # a set that passes SubgroupInfo's checks but is not closed breaks the mass identity
+    with pytest.raises(RuntimeError, match="add up"):
+        subgroups._orbit_energy(SubgroupInfo(ESet(f7, [1, 3, 4]), 3, 2))
