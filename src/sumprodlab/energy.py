@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fields import Field
-from .sets import ESet, _pair_counts, _same_field, dilate, product_set, shift, sum_set
+from .sets import ESet, _pair_counts, _row_hits, _same_field, dilate, product_set, shift, sum_set
 
 KINDS = ("additive", "multiplicative")
 
@@ -96,19 +96,18 @@ def shifted_subgroup_ratio(gamma: ESet, x) -> float:
 
 
 def triple_cover_count(aprime: ESet, cset: ESet, y1, y2, y3) -> int:
-    """How many c in C land y1/c, y2/c and y3/c simultaneously in A'."""
+    """How many c in C land y1/c, y2/c and y3/c simultaneously in A'.
+
+    y/c is in A' exactly when y is in c*A', a row of |A'| distinct products
+    in C x A'; c counts when its row holds every distinct y."""
     ctx = _same_field(aprime, cset)
     for y in (y1, y2, y3):
         ctx.check(y)
     if 0 in cset:
         raise ValueError("0 in C has no inverse")
-    count = 0
-    mul = ctx.mul
-    for c in cset.codes:
-        ic = ctx.inv(c)
-        if mul(y1, ic) in aprime and mul(y2, ic) in aprime and mul(y3, ic) in aprime:
-            count += 1
-    return count
+    ys = {y1, y2, y3}
+    hits = _row_hits(ctx, cset.codes, aprime.codes, list(ys))
+    return int(np.count_nonzero(hits == len(ys)))
 
 
 def triple_cover_totals(aprime: ESet, cset: ESet) -> tuple[int, int]:
@@ -127,23 +126,24 @@ def triple_cover_totals(aprime: ESet, cset: ESet) -> tuple[int, int]:
     if len(aprime) == 0 or len(cset) == 0:
         raise ValueError("both sets must be nonempty")
     s = product_set(aprime, cset)
-    total = 0
-    diagonal = 0
-    mul = ctx.mul
-    for c in cset.codes:
-        ic = ctx.inv(c)
-        n_c = 0
-        for y in s.codes:
-            if mul(y, ic) in aprime:
-                n_c += 1
-        total += n_c ** 3
-        diagonal += 3 * n_c * n_c - 2 * n_c
+    # N_c as |S ∩ c*A'| would satisfy the identity by construction, since S
+    # is the support of those same products; counting c^-1 * S ∩ A' through
+    # one scalar inverse per c keeps the recount independent of S.
+    n = _row_hits(ctx, [ctx.inv(c) for c in cset.codes], s.codes, aprime.codes).tolist()
+    total = sum(k ** 3 for k in n)
+    diagonal = sum(3 * k * k - 2 * k for k in n)
     expect = len(cset) * len(aprime) ** 3
     if total != expect:
         raise RuntimeError(f"triple cover total {total} != |C||A'|^3 = {expect}")
     if diagonal > 3 * len(cset) * len(aprime) ** 2:
         raise RuntimeError("repeated-coordinate mass exceeds its exact bound")
     return total, diagonal
+
+
+def _witness_ratios(ctx, y1, y2, y3):
+    """(alpha, beta) = ((y3 - y1)/(y3 - y2), (y1 - y2)/(y3 - y2)); y2 != y3."""
+    idenom = ctx.inv(ctx.sub(y3, y2))
+    return ctx.mul(ctx.sub(y3, y1), idenom), ctx.mul(ctx.sub(y1, y2), idenom)
 
 
 def product_shift_identity(ctx, a1, a2, a3, c, b, d) -> bool:
@@ -164,9 +164,7 @@ def product_shift_identity(ctx, a1, a2, a3, c, b, d) -> bool:
     if a1 == a2 or a1 == a3 or a2 == a3:
         raise ValueError("shift points must be pairwise distinct")
     y1, y2, y3 = (ctx.mul(ctx.add(a, d), c) for a in (a1, a2, a3))
-    idenom = ctx.inv(ctx.sub(y3, y2))
-    alpha = ctx.mul(ctx.sub(y3, y1), idenom)
-    beta = ctx.mul(ctx.sub(y1, y2), idenom)
+    alpha, beta = _witness_ratios(ctx, y1, y2, y3)
     lhs = ctx.sub(ctx.mul(a1, b), ctx.mul(alpha, ctx.mul(a2, b)))
     rhs = ctx.mul(ctx.mul(a3, b), beta)
     return lhs == rhs
@@ -193,9 +191,7 @@ def make_triple_witness(A: ESet, C: ESet, d, y1, y2, y3) -> TripleWitness:
     if y1 == y2 or y1 == y3 or y2 == y3:
         raise ValueError("witness points must be pairwise distinct")
     aprime = shift(A, d)
-    idenom = ctx.inv(ctx.sub(y3, y2))
-    alpha = ctx.mul(ctx.sub(y3, y1), idenom)
-    beta = ctx.mul(ctx.sub(y1, y2), idenom)
+    alpha, beta = _witness_ratios(ctx, y1, y2, y3)
     return TripleWitness(y1, y2, y3, alpha, beta,
                          triple_cover_count(aprime, C, y1, y2, y3))
 

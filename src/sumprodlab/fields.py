@@ -26,7 +26,7 @@ __all__ = ["Field", "make_field", "is_prime", "factorize", "divisors", "MAX_ORDE
            "TABLE_LIMIT"]
 
 MAX_ORDER = 2 ** 31  # keeps every count downstream inside exact 64-bit integer range
-TABLE_LIMIT = 1 << 22  # dlog_tables only up to this order
+TABLE_LIMIT = 1 << 22  # longest q-length int64 array: the dlog tables, the dense pair bincount
 _BLOCK = 1 << 20       # elements per block of an array operation, divided by Field.width
 
 # Witnesses making Miller-Rabin deterministic far beyond 2^31.

@@ -1,8 +1,8 @@
 """Finite subsets of a field and the product/sum/shift/dilate algebra on them.
 
-An ESet is immutable: a sorted tuple of element codes plus a lazily built
-frozenset for membership.  All set operations return new ESets
-and require both operands to live in the same field.
+An ESet is immutable: one sorted tuple of element codes, which membership
+searches by bisection.  All set operations return new ESets and require
+both operands to live in the same field.
 
 Set operations and energies rest on one pair count, _pair_counts, with
 four exact paths: sums and differences in a prime field count tile by tile
@@ -11,18 +11,20 @@ large sets in GF(p^m), m > 1, multiply transforms over the group Z_p^m;
 products, and small sets in GF(p^m), bincount over all q codes; fields
 above 2^22 merge sorted blocks.  Prime fields have no FFT path, because a
 transform over a field near 10^6 needs more memory than the exact counts.
+Membership counts over many dilates (coset scans, triple covers) are row
+sums of np.isin over blocks of products, in _row_hits.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import _BLOCK, Field
+from .fields import _BLOCK, TABLE_LIMIT, Field
 
-_DENSE_LIMIT = 1 << 22  # pair counts by bincount below this order, sorted merge above
 _TILE = 1 << 16  # prime-field sum/difference tiles: narrowest width, fewest mean pairs
 # The Z_p^m transform counts sums and differences once the broadcast's
 # |X||Y|*width exceeds this many times m*p*q: measured on a 2-vCPU Xeon, a
@@ -32,9 +34,9 @@ _TRANSFORM_RATIO = 16
 
 
 class ESet:
-    """Immutable subset of a field, kept as strictly increasing element codes."""
+    """Immutable subset of a field: one tuple of strictly increasing element codes."""
 
-    __slots__ = ("ctx", "codes", "_member")
+    __slots__ = ("ctx", "codes")
 
     def __init__(self, ctx: Field, codes):
         cleaned = sorted({int(c) for c in codes})
@@ -42,7 +44,6 @@ class ESet:
             raise ValueError(f"element code out of range for {ctx!r}")
         self.ctx = ctx
         self.codes = tuple(cleaned)
-        self._member = None
 
     @classmethod
     def from_text(cls, ctx, text: str) -> "ESet":
@@ -72,10 +73,9 @@ class ESet:
         return f"ESet({self.ctx!r}, {{{self.to_text()}}})"
 
     def __contains__(self, code):
-        mem = self._member
-        if mem is None:
-            mem = self._member = frozenset(self.codes)
-        return code in mem
+        codes = self.codes
+        i = bisect_left(codes, code)
+        return i < len(codes) and codes[i] == code
 
 
 def _same_field(*sets):
@@ -95,10 +95,17 @@ def _merge(values, counts):
 
 
 def _op_blocks(ctx: Field, xa, ya, op):
-    """op(x, y) over xa x ya, raveled, in row blocks of about _BLOCK / ctx.width pairs."""
+    """op(x, y) over xa x ya, in (rows, |ya|) blocks of about _BLOCK / ctx.width pairs."""
     rows = max(1, _BLOCK // (max(1, ya.size) * ctx.width))
     for i in range(0, xa.size, rows):
-        yield op(ctx, xa[i:i + rows, None], ya[None, :]).ravel()
+        yield op(ctx, xa[i:i + rows, None], ya[None, :])
+
+
+def _row_hits(ctx: Field, xs, ys, targets):
+    """For each x in xs, how many y in ys have x*y in targets: row sums of np.isin."""
+    xa, ya, ta = (np.asarray(v, dtype=np.int64) for v in (xs, ys, targets))
+    hits = [np.isin(z, ta).sum(axis=1) for z in _op_blocks(ctx, xa, ya, Field.vmul)]
+    return np.concatenate([np.zeros(0, dtype=np.int64)] + hits)
 
 
 def _tiled_counts(p: int, xs, ys, negate: bool, same: bool):
@@ -226,7 +233,7 @@ def _pair_counts(ctx: Field, xs, ys, op):
     op is one of Field's array operations, called as op(ctx, x, y).  Four
     exact paths, chosen by the field, the op and the sizes:
 
-    - q > _DENSE_LIMIT: blocks of pairs go to a sorted merge, since a count
+    - q > TABLE_LIMIT: blocks of pairs go to a sorted merge, since a count
       per code would not fit;
     - prime fields, vadd and vsub: _tiled_counts, which bincounts cache-sized
       windows and needs no modulo per pair (for the sums of a set with
@@ -243,11 +250,11 @@ def _pair_counts(ctx: Field, xs, ys, op):
     """
     xa = np.asarray(xs, dtype=np.int64)
     ya = np.asarray(ys, dtype=np.int64)
-    if ctx.q > _DENSE_LIMIT:
+    if ctx.q > TABLE_LIMIT:
         values = counts = np.zeros(0, dtype=np.int64)
         for z in _op_blocks(ctx, xa, ya, op):
-            values, counts = _merge(np.concatenate([values, z]),
-                                    np.concatenate([counts, np.ones_like(z)]))
+            values, counts = _merge(np.concatenate([values, z], axis=None),
+                                    np.concatenate([counts, np.ones_like(z)], axis=None))
         return values, counts
     counts = None
     if op in (Field.vadd, Field.vsub):
@@ -259,7 +266,7 @@ def _pair_counts(ctx: Field, xs, ys, op):
     if counts is None:
         counts = np.zeros(ctx.q, dtype=np.int64)
         for z in _op_blocks(ctx, xa, ya, op):
-            counts += np.bincount(z, minlength=ctx.q)
+            counts += np.bincount(z.ravel(), minlength=ctx.q)
     values = np.flatnonzero(counts)
     return values, counts[values]
 
@@ -336,21 +343,13 @@ def coset_scan(S: ESet, threshold_exponent: float, base: str = "subfield_size"):
     ok = True
     if ctx.m == 1:
         return stats, ok
-    g = ctx.generator()
     for nu in range(1, ctx.m):
         if ctx.m % nu != 0:
             continue
         F = ctx.subfield(nu)
-        reps = (ctx.q - 1) // (ctx.p ** nu - 1)
+        reps = ctx.powers(ctx.generator(), (ctx.q - 1) // (ctx.p ** nu - 1))
         thr = float(len(F) if base == "subfield_size" else len(S)) ** threshold_exponent
-        c = 1
-        for _ in range(reps):
-            inter = 0
-            for f in F.codes:
-                if ctx.mul(c, f) in S:
-                    inter += 1
-            stats.append(CosetStat(nu, c, inter, thr))
-            if inter > thr:
-                ok = False
-            c = ctx.mul(c, g)
+        inter = _row_hits(ctx, reps, F.codes, S.codes).tolist()
+        stats += [CosetStat(nu, c, k, thr) for c, k in zip(reps.tolist(), inter)]
+        ok = ok and max(inter) <= thr
     return stats, ok

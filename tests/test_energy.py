@@ -14,7 +14,7 @@ from sumprodlab.energy import (EnergyReport, cauchy_schwarz_chain, energy,
                                pair_energy_bound_ratio, plunnecke_ruzsa_check,
                                product_shift_identity, shifted_subgroup_ratio,
                                triple_cover_count, triple_cover_totals)
-from sumprodlab.fields import Field, make_field
+from sumprodlab.fields import TABLE_LIMIT, Field, make_field
 from sumprodlab.sets import ESet, difference_set, dilate, product_set, sum_set
 
 
@@ -83,7 +83,7 @@ def test_sorted_merge_above_dense_limit(pm, block, monkeypatch):
     if block is not None:
         monkeypatch.setattr(sets, "_BLOCK", block)
     ctx = make_field(*pm)
-    assert ctx.q > sets._DENSE_LIMIT
+    assert ctx.q > TABLE_LIMIT
     x = ctx.p if ctx.m > 1 else 5
     geometric = [ctx.pow(x, k) for k in range(1, 4)]
     A = S(ctx, [0, 1, 2, 3, 4, ctx.q - 1] + geometric)
@@ -284,6 +284,36 @@ def test_triple_cover_matches_oracle():
     for ys in [(1, 2, 3), (4, 4, 4), (0, 5, 8)]:
         assert triple_cover_count(aprime, c, *ys) == \
             oracle.triple_cover_brute(aprime, c, *ys)
+
+
+@pytest.mark.parametrize("block", [None, 8])
+@pytest.mark.parametrize("pm", [(7, 1), (3, 2), (2, 5), (5, 3)])
+def test_triple_cover_count_random_vs_oracle(pm, block, monkeypatch):
+    # a small block splits the rows of C x A' across several product blocks
+    if block is not None:
+        monkeypatch.setattr(sets, "_BLOCK", block)
+    ctx = make_field(*pm)
+    rng = random.Random(pm[0] * 100 + pm[1])
+    units = list(range(1, ctx.q))
+    for i in range(30):
+        aprime = S(ctx, rng.sample(range(ctx.q), [0, 1, 3, 5][i % 4]))
+        c = S(ctx, rng.sample(units, rng.randint(1, min(6, ctx.q - 1))))
+        y = [rng.randrange(ctx.q) for _ in range(3)]
+        for ys in (y, (y[0], y[0], y[1]), (y[0],) * 3, (0, y[1], y[2])):
+            assert triple_cover_count(aprime, c, *ys) == \
+                oracle.triple_cover_brute(aprime, c, *ys)
+    # every y inside A' with C = {1}: exactly one cover
+    assert triple_cover_count(S(ctx, [1, 2, 3]), S(ctx, [1]), 3, 1, 2) == 1
+
+
+def test_triple_cover_totals_rejects_wrong_inverse(monkeypatch):
+    f7 = make_field(7)
+    aprime, c = S(f7, [1, 2]), S(f7, [1, 3])
+    assert triple_cover_totals(aprime, c)[0] == 2 * 8
+    true_inv = Field.inv
+    monkeypatch.setattr(Field, "inv", lambda self, x: self.mul(true_inv(self, x), 3))
+    with pytest.raises(RuntimeError, match="triple cover total"):
+        triple_cover_totals(aprime, c)
 
 
 def test_triple_cover_totals():

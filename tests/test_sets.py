@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumprodlab import sets
+from sumprodlab import fields, sets
 from sumprodlab.energy import energy
 from sumprodlab.fields import Field, make_field
 from sumprodlab.sets import (CosetStat, ESet, coset_scan, difference_set,
@@ -25,6 +25,9 @@ def test_eset_basics():
     assert len(s) == 3
     assert list(s) == [1, 2, 4]
     assert 2 in s and 3 not in s and -1 not in s and 7 not in s
+    assert np.int64(4) in s and np.int64(0) not in s
+    assert not any(x in ESet(ctx, []) for x in (-1, 0, 1, 7))
+    assert set(ESet.__slots__) == {"ctx", "codes"}  # membership bisects codes, no cache
     assert bool(s) and not bool(ESet(ctx, []))
     assert s == ESet(ctx, (4, 2, 1))
     assert s != ESet(F(11), [1, 2, 4])
@@ -172,6 +175,34 @@ def test_coset_scan_gf9_frozen():
     stats, ok = coset_scan(ESet(ctx, [0, 1, 2]), 0.5)
     assert not ok
     assert max(s.intersection for s in stats) == 3
+
+
+@pytest.mark.parametrize("block", [None, 64])
+@pytest.mark.parametrize("pm", [(2, 6), (3, 4)])
+def test_coset_scan_matches_scalar_loop(pm, block, monkeypatch):
+    # a small block splits both the coset representatives and the rows of
+    # reps x F across blocks of several rows each
+    if block is not None:
+        monkeypatch.setattr(fields, "_BLOCK", block)
+        monkeypatch.setattr(sets, "_BLOCK", block)
+    ctx = F(*pm)
+    rng = random.Random(pm[0] + pm[1])
+    g = ctx.generator()
+    for S in (ESet(ctx, rng.sample(range(ctx.q), 12)), ctx.subfield(2),
+              ESet(ctx, [0, 1, ctx.q - 1])):
+        members = set(S.codes)
+        expect = []
+        for nu in (1, 2, 3):
+            if pm[1] % nu or nu == pm[1]:
+                continue
+            F_nu = ctx.subfield(nu).codes
+            c = 1
+            for _ in range((ctx.q - 1) // (ctx.p ** nu - 1)):
+                expect.append((nu, c, sum(ctx.mul(c, f) in members for f in F_nu)))
+                c = ctx.mul(c, g)
+        stats, ok = coset_scan(S, 0.5)
+        assert [(st.nu, st.c, st.intersection) for st in stats] == expect
+        assert ok == all(st.intersection <= st.threshold for st in stats)
 
 
 def test_coset_scan_set_size_base():
