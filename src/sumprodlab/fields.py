@@ -26,7 +26,7 @@ __all__ = ["Field", "make_field", "is_prime", "factorize", "divisors", "MAX_ORDE
            "TABLE_LIMIT"]
 
 MAX_ORDER = 2 ** 31  # keeps every count downstream inside exact 64-bit integer range
-TABLE_LIMIT = 1 << 22  # longest q-length int64 array: the dlog tables, the dense pair bincount
+TABLE_LIMIT = 1 << 22  # longest q-length int64 array: the dense pair bincount
 _BLOCK = 1 << 20       # elements per block of an array operation, divided by Field.width
 
 # Witnesses making Miller-Rabin deterministic far beyond 2^31.
@@ -185,10 +185,13 @@ class Field:
     """A finite field GF(p^m) whose elements are integer codes in [0, q)."""
 
     def __init__(self, p: int, m: int = 1):
-        if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
-            raise ValueError(f"characteristic {p!r} is not a prime")
         if not isinstance(m, int) or isinstance(m, bool) or m < 1:
             raise ValueError(f"extension degree must be a positive integer, got {m!r}")
+        # before Miller-Rabin and p ** m, which take seconds on a huge p or m
+        if type(p) is int and (p > MAX_ORDER or m > 31 and p > 1):
+            raise ValueError("field order exceeds the supported limit 2^31")
+        if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
+            raise ValueError(f"characteristic {p!r} is not a prime")
         q = p ** m
         if q > MAX_ORDER:
             raise ValueError(f"field order {q} exceeds the supported limit 2^31")
@@ -569,19 +572,6 @@ class Field:
             cached = ESet(self, [0] + codes.tolist())
             self._subfields[nu] = cached
         return cached
-
-    def dlog_tables(self):
-        """(gpow, dlog): read-only int64 arrays, gpow[k] = g^k and dlog[g^k] = k; dlog[0] = -1.
-
-        Built by doubling on every call.  Limited to q <= TABLE_LIMIT;
-        these tables only back fast counting paths, never the definitions.
-        """
-        if self.q > TABLE_LIMIT:
-            raise ValueError("lookup tables are limited to q <= 2^22")
-        gpow, _ = self.unit_subgroup(self.q - 1)
-        dlog = np.full(self.q, -1, dtype=np.int64)
-        dlog[gpow] = np.arange(self.q - 1)
-        return _read_only(gpow), _read_only(dlog)
 
 
 @functools.lru_cache(maxsize=None)

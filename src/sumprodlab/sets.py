@@ -18,6 +18,7 @@ sums of np.isin over blocks of products, in _row_hits.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -33,13 +34,23 @@ _TILE = 1 << 16  # prime-field sum/difference tiles: narrowest width, fewest mea
 _TRANSFORM_RATIO = 16
 
 
+def _code(c) -> int:
+    """c as a Python int; numpy integers pass, bools and non-integers raise ValueError."""
+    try:
+        if not isinstance(c, bool):
+            return operator.index(c)
+    except TypeError:
+        pass
+    raise ValueError(f"{c!r} is not an element code")
+
+
 class ESet:
     """Immutable subset of a field: one tuple of strictly increasing element codes."""
 
     __slots__ = ("ctx", "codes")
 
     def __init__(self, ctx: Field, codes):
-        cleaned = sorted({int(c) for c in codes})
+        cleaned = sorted({_code(c) for c in codes})
         if cleaned and (cleaned[0] < 0 or cleaned[-1] >= ctx.q):
             raise ValueError(f"element code out of range for {ctx!r}")
         self.ctx = ctx

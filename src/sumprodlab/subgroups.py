@@ -16,8 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .energy import energy
-from .fields import _BLOCK, Field, divisors
-from .sets import ESet, _same_field
+from .fields import Field, divisors
+from .sets import ESet, _op_blocks, _same_field
 
 # default exponents for the report-only power conditions
 GCD_CONDITION_DELTA = Fraction(119, 605)
@@ -80,10 +80,7 @@ def _orbit_energy(G: SubgroupInfo) -> int:
     member = np.zeros(ctx.q, dtype=bool)
     member[codes] = True
     reps = ctx.powers(ctx.generator(), (ctx.q - 1) // t)
-    r = np.empty(reps.size, dtype=np.int64)
-    rows = max(1, _BLOCK // (t * ctx.width))
-    for i in range(0, reps.size, rows):
-        r[i:i + rows] = member[ctx.vsub(reps[i:i + rows, None], codes)].sum(axis=1)
+    r = np.concatenate([member[z].sum(axis=1) for z in _op_blocks(ctx, reps, codes, Field.vsub)])
     r0 = t if member[ctx.neg(1)] else 0
     if r0 + t * int(r.sum()) != t * t:
         raise RuntimeError("orbit counts do not add up to |G|^2; counting bug")

@@ -168,6 +168,8 @@ def test_verify_cli_failure_exit_code(capsys, monkeypatch):
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "field", "info", "--p", "6")
     assert code == 2 and "error:" in err
+    code, _, err = run(capsys, "field", "info", "--p", "3", "--m", "100000000")
+    assert code == 2 and "exceeds" in err
     code, _, err = run(capsys, "gauss", "--p", "7", "--n", "4", "--a", "1")
     assert code == 2 and "divide" in err
     code, _, err = run(capsys, "subgroup", "--p", "7", "--order", "4")

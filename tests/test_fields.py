@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -53,6 +54,13 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         Field(2, 32)  # q = 2^32 > MAX_ORDER
     assert 2 ** 31 == MAX_ORDER
+    # sizes are rejected before p ** m and Miller-Rabin run, which would take
+    # seconds here, and the message does not print the digits of p
+    start = time.perf_counter()
+    for args in ((3, 10 ** 8), (2 ** 13000 + 1,)):
+        with pytest.raises(ValueError, match=r"^field order exceeds the supported limit 2\^31$"):
+            Field(*args)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_make_field_is_cached():
@@ -109,6 +117,14 @@ def test_generator_has_full_order():
         assert ctx.pow(g, n) == 1
         for ell, _ in factorize(n) if n > 1 else []:
             assert ctx.pow(g, n // ell) != 1
+    for ctx in (make_field(13), make_field(3, 4)):
+        # exhaustively, mul(g^i, g^j) = g^((i + j) mod (q - 1))
+        n = ctx.q - 1
+        gpow = ctx.powers(ctx.generator(), n).tolist()
+        assert sorted(gpow) == list(range(1, ctx.q))
+        for i, x in enumerate(gpow):
+            for j, y in enumerate(gpow):
+                assert ctx.mul(x, y) == gpow[(i + j) % n]
 
 
 def test_trace_frozen_and_linear():
@@ -150,22 +166,6 @@ def test_subfield_is_multiplicatively_closed():
         for b in F.codes:
             assert ctx.mul(a, b) in F
             assert ctx.add(a, b) in F
-
-
-def test_dlog_tables():
-    for ctx in (make_field(13), make_field(3, 4)):
-        gpow, dlog = ctx.dlog_tables()
-        assert not gpow.flags.writeable and not dlog.flags.writeable
-        assert dlog[0] == -1
-        assert gpow[0] == 1
-        assert gpow.tolist() == [ctx.pow(ctx.generator(), k) for k in range(ctx.q - 1)]
-        for k, v in enumerate(gpow):
-            assert dlog[v] == k
-        for x in range(1, ctx.q):
-            for y in range(1, ctx.q):
-                assert ctx.mul(x, y) == gpow[(dlog[x] + dlog[y]) % (ctx.q - 1)]
-    with pytest.raises(ValueError, match="limited"):
-        make_field(2, 23).dlog_tables()
 
 
 @pytest.mark.parametrize("pm", [(13, 1), (2, 4), (3, 3), (7, 2)])

@@ -48,6 +48,10 @@ def test_eset_range_check():
         ESet(F(7), [7])
     with pytest.raises(ValueError):
         ESet(F(7), [-1])
+    # codes are integers: no bools (True is not the element 1), floats or strings
+    for bad in (True, np.True_, 2.7, "3", np.float64(4.9)):
+        with pytest.raises(ValueError, match="not an element code"):
+            ESet(F(7), [2, bad])
 
 
 def test_product_set_frozen():

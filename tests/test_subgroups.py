@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sumprodlab import subgroups
+from sumprodlab import sets, subgroups
 from sumprodlab.energy import energy
 from sumprodlab.fields import TABLE_LIMIT, divisors, make_field
 from sumprodlab.sets import ESet, product_set
@@ -44,7 +44,7 @@ def test_subgroup_of_order_frozen():
 
 @pytest.mark.parametrize("pm,t", [((2, 23), 47), ((2 ** 31 - 1, 1), 331)])
 def test_subgroup_of_order_above_table_limit(pm, t):
-    # fields too large for dlog tables still give a subgroup in O(t) work
+    # fields above the dense-count limit still give a subgroup in O(t) work
     ctx = make_field(*pm)
     assert ctx.q > TABLE_LIMIT
     G = subgroup_of_order(ctx, t)
@@ -190,15 +190,20 @@ def test_orbit_energy_matches_kernel(pm, monkeypatch):
 
     monkeypatch.setattr(subgroups, "energy", spy)
     minus_one = set()
+    expected = {}
     for n in divisors(ctx.q - 1):
         G = nth_power_subgroup(ctx, n)
-        expect = energy(G.elements).value
+        expect = expected[n] = energy(G.elements).value
         assert subgroups._orbit_energy(G) == expect
         before = len(kernel_calls)
         assert subgroup_additive_energy(G) == expect
         assert (len(kernel_calls) > before) == (G.order ** 2 <= ctx.q - 1)
         minus_one.add(ctx.neg(1) in G.elements)
     assert minus_one == ({True} if ctx.p == 2 else {True, False})
+    # the coset representatives above fit one block; split them into many
+    monkeypatch.setattr(sets, "_BLOCK", 7)
+    for n, expect in expected.items():
+        assert subgroups._orbit_energy(nth_power_subgroup(ctx, n)) == expect
     assert subgroup_energy_exponent(nth_power_subgroup(ctx, 1)).value == \
         energy(nth_power_subgroup(ctx, 1).elements).value
 
