@@ -6,19 +6,28 @@ Multiplication reduces modulo a monic irreducible polynomial picked
 deterministically (the one whose low-coefficient vector has the smallest
 base-p value), so a field is pinned by (p, m) alone and codes are portable.
 
+Scalar mul in GF(p^m), m > 1, is one big-int product (Kronecker
+substitution): each code's digits are spread into s-bit lanes with
+s = bit_length((2m - 1)(p - 1)^2), the two ints are multiplied, and each
+high lane folds into the low lanes through a packed row of t^k mod the
+modulus.  No lane ever carries into the next, so the low lanes read off
+mod p give the product's code.  The array operations (vmul) work digit by
+digit instead and share no code with it.
+
 Field contexts are immutable after construction.  Every per-field table
 lives on the Field: the generator, the trace basis, the subfields and the
 p-th roots of unity.  Each is a write-once cache computed on first use and
 handed out read-only; recomputing one in a race is idempotent, so contexts
 may be shared between threads.  Powers of an element are listed by
-doubling (powers) and not cached: a subgroup of order t costs O(t) work
-whatever the field order.
+doubling (powers), after a short scalar run in extension fields, and not
+cached: a subgroup of order t costs O(t) work whatever the field order.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -28,6 +37,7 @@ __all__ = ["Field", "make_field", "is_prime", "factorize", "divisors", "MAX_ORDE
 MAX_ORDER = 2 ** 31  # keeps every count downstream inside exact 64-bit integer range
 TABLE_LIMIT = 1 << 22  # longest q-length int64 array: the dense pair bincount
 _BLOCK = 1 << 20       # elements per block of an array operation, divided by Field.width
+_SCALAR_RUN = 128      # powers listed by scalar mul before doubling starts, m > 1
 
 # Witnesses making Miller-Rabin deterministic far beyond 2^31.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -176,6 +186,16 @@ def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
+def _index(v):
+    """v as a Python int (numpy integers pass), or None for bools and non-integers."""
+    if isinstance(v, bool):
+        return None
+    try:
+        return operator.index(v)
+    except TypeError:
+        return None
+
+
 def _read_only(a):
     a.flags.writeable = False
     return a
@@ -185,13 +205,15 @@ class Field:
     """A finite field GF(p^m) whose elements are integer codes in [0, q)."""
 
     def __init__(self, p: int, m: int = 1):
-        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-            raise ValueError(f"extension degree must be a positive integer, got {m!r}")
+        given_p, given_m = p, m
+        p, m = _index(p), _index(m)
+        if m is None or m < 1:
+            raise ValueError(f"extension degree must be a positive integer, got {given_m!r}")
         # before Miller-Rabin and p ** m, which take seconds on a huge p or m
-        if type(p) is int and (p > MAX_ORDER or m > 31 and p > 1):
+        if p is not None and (p > MAX_ORDER or m > 31 and p > 1):
             raise ValueError("field order exceeds the supported limit 2^31")
-        if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
-            raise ValueError(f"characteristic {p!r} is not a prime")
+        if p is None or not is_prime(p):
+            raise ValueError(f"characteristic {given_p!r} is not a prime")
         q = p ** m
         if q > MAX_ORDER:
             raise ValueError(f"field order {q} exceeds the supported limit 2^31")
@@ -201,6 +223,8 @@ class Field:
         self.modulus = (0, 1) if m == 1 else smallest_irreducible(p, m)
         self._red = self._reduction_rows() if m > 1 else None
         self._place = [p ** i for i in range(m)]
+        if m > 1:
+            self._pack_lanes()
         # Scratch charged per element of an array operation's output, in
         # int64 arrays, by which the pair kernel sizes its blocks.  For m > 1
         # vmul keeps m + 2 arrays of the output shape alive (m low rows, one
@@ -228,6 +252,32 @@ class Field:
             rows.append(row)
         return rows
 
+    def _pack_lanes(self):
+        # Scalar mul works on ints with one s-bit lane per base-p digit.  A
+        # lane of the digit product holds at most m(p - 1)^2 and reduction
+        # adds at most (m - 1)(p - 1)^2 more, so lanes never carry into
+        # each other.  Codes are spread a chunk of digits at a time through
+        # a table of at most 256 ints; above p = 256 one digit at a time.
+        p, m = self.p, self.m
+        s = ((2 * m - 1) * (p - 1) ** 2).bit_length()
+        chunk = 1
+        while p ** (chunk + 1) <= 256:
+            chunk += 1
+        self._lane = s
+        self._lane_mask = (1 << s) - 1
+        self._low_mask = (1 << m * s) - 1
+        self._low_bits = m * s
+        self._lane_shifts = tuple(i * s for i in range(m - 1, -1, -1))
+        self._red_lanes = tuple(sum(c << i * s for i, c in enumerate(row)) for row in self._red)
+        self._chunk_base = p ** chunk
+        self._chunk_bits = chunk * s
+        self._spread_table = None
+        if p <= 256:
+            table = [0]  # entry r spreads the chunk-digit number r
+            for i in range(chunk):
+                table = [t | d << i * s for d in range(p) for t in table]
+            self._spread_table = table
+
     # -- representation -----------------------------------------------------
 
     def __repr__(self):
@@ -244,9 +294,9 @@ class Field:
         return range(self.q)
 
     def check(self, x):
-        if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < self.q:
-            raise ValueError(f"{x!r} is not an element code of {self!r}")
-        return x
+        if (type(x) is int or isinstance(x, int) and not isinstance(x, bool)) and 0 <= x < self.q:
+            return x
+        raise ValueError(f"{x!r} is not an element code of {self!r}")
 
     def decode(self, x) -> tuple[int, ...]:
         """Coefficient vector (a0, ..., a_{m-1}) of an element code."""
@@ -315,7 +365,29 @@ class Field:
             mult *= p
         return out
 
+    def _spread(self, x):
+        """x with its base-p digits placed in s-bit lanes, lowest digit lowest."""
+        base, step, table = self._chunk_base, self._chunk_bits, self._spread_table
+        out = shift = 0
+        if table is None:
+            while x:
+                x, d = divmod(x, base)
+                out |= d << shift
+                shift += step
+        else:
+            while x:
+                out |= table[x % base] << shift
+                x //= base
+                shift += step
+        return out
+
     def mul(self, x, y):
+        """x * y: one big-int product of the digit lanes, then reduction in place.
+
+        Lane k of the product is the coefficient of t^k.  Each high lane
+        k >= m, taken mod p, adds that multiple of t^k mod modulus (packed
+        row k - m) into the m low lanes, which are then read off mod p.
+        """
         self.check(x)
         self.check(y)
         p = self.p
@@ -323,32 +395,20 @@ class Field:
             return x * y % p
         if x == 0 or y == 0:
             return 0
-        m = self.m
-        a = []
-        v = x
-        for _ in range(m):
-            a.append(v % p)
-            v //= p
-        b = []
-        v = y
-        for _ in range(m):
-            b.append(v % p)
-            v //= p
-        prod = [0] * (2 * m - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        red = self._red
-        for k in range(2 * m - 2, m - 1, -1):
-            c = prod[k] % p
+        mask, s = self._lane_mask, self._lane
+        z = self._spread(x) * self._spread(y)
+        low = z & self._low_mask
+        high = z >> self._low_bits
+        for row in self._red_lanes:
+            if not high:
+                break
+            c = (high & mask) % p
             if c:
-                row = red[k - m]
-                for i in range(m):
-                    prod[i] += c * row[i]
+                low += c * row
+            high >>= s
         code = 0
-        for i in range(m - 1, -1, -1):
-            code = code * p + prod[i] % p
+        for shift in self._lane_shifts:
+            code = code * p + (low >> shift & mask) % p
         return code
 
     def pow(self, x, e):
@@ -455,12 +515,19 @@ class Field:
         """h^0, ..., h^(count-1) as an int64 array, by doubling.
 
         out[k:2k] = out[:k] * h^k, taken in blocks of about _BLOCK / width
-        elements, so a table of n powers costs log2(n) array steps.
+        elements, so a table of n powers costs log2(n) array steps.  For
+        m > 1 the first _SCALAR_RUN powers come from scalar mul, which beats
+        an array step of m^2 digit products on short runs.
         """
         self.check(h)
         out = np.empty(count, dtype=np.int64)
         out[:1] = 1
         k, hk = 1, h
+        if self.m > 1:
+            while k < min(count, _SCALAR_RUN):
+                out[k] = hk
+                hk = self.mul(hk, h)
+                k += 1
         rows = max(1, _BLOCK // self.width)
         while k < count:
             n = min(k, count - k)
@@ -574,7 +641,17 @@ class Field:
         return cached
 
 
-@functools.lru_cache(maxsize=None)
 def make_field(p: int, m: int = 1) -> Field:
-    """Shared field context for GF(p^m); repeated calls return the same object."""
+    """Shared field context for GF(p^m); repeated calls return the same object.
+
+    numpy integers name the same context as the equal Python ints.
+    """
+    p_int, m_int = _index(p), _index(m)
+    if p_int is None or m_int is None:
+        return Field(p, m)  # raises the constructor's error
+    return _shared_field(p_int, m_int)
+
+
+@functools.lru_cache(maxsize=None)
+def _shared_field(p, m):
     return Field(p, m)

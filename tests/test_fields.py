@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumprodlab import fields
-from sumprodlab.fields import (MAX_ORDER, Field, divisors, factorize, is_prime,
-                               make_field, smallest_irreducible)
+from sumprodlab.fields import (MAX_ORDER, Field, _poly_mod, _poly_mul, divisors, factorize,
+                               is_prime, make_field, smallest_irreducible)
 
 # fields used across the hypothesis properties; small enough to stay fast
 FIELD_POOL = [(2, 1), (5, 1), (13, 1), (97, 1), (2, 4), (3, 2), (3, 3), (7, 2)]
@@ -69,6 +69,20 @@ def test_make_field_is_cached():
     assert make_field(5, 1) != make_field(5, 2)
 
 
+def test_numpy_integer_parameters():
+    # numpy integers name the same shared context, held as Python ints
+    assert make_field(np.int64(7)) is make_field(7)
+    ctx = make_field(np.int64(7), np.int32(2))
+    assert ctx is make_field(7, 2)
+    assert type(ctx.p) is int and type(ctx.m) is int and type(ctx.q) is int
+    assert type(Field(np.uint8(3), np.int64(2)).q) is int
+    for args in ((True,), (7, True), (np.int64(6),), (7.0,), (7, 2.0), (np.float64(7),)):
+        with pytest.raises(ValueError):
+            make_field(*args)
+        with pytest.raises(ValueError):
+            Field(*args)
+
+
 def test_encode_decode_roundtrip():
     ctx = make_field(3, 3)
     for x in ctx.elements():
@@ -80,8 +94,14 @@ def test_encode_decode_roundtrip():
         ctx.encode((0, 0))
     with pytest.raises(ValueError):
         ctx.check(27)
-    with pytest.raises(ValueError):
-        ctx.check(True)
+    for bad in (True, False, 2.0, np.int64(2), -1, "2"):
+        with pytest.raises(ValueError):
+            ctx.check(bad)
+
+    class Code(int):
+        pass
+
+    assert ctx.check(Code(5)) == 5
 
 
 def test_gf9_arithmetic_by_hand():
@@ -170,18 +190,52 @@ def test_subfield_is_multiplicatively_closed():
 
 @pytest.mark.parametrize("pm", [(13, 1), (2, 4), (3, 3), (7, 2)])
 def test_powers_by_doubling(pm, monkeypatch):
-    # a block of 3 elements splits the doubling steps into many blocks
+    # a block of 3 elements splits the doubling steps into many blocks; a
+    # scalar run of 1 or 3 leaves the doubling steps to the array path
     ctx = make_field(*pm)
-    for block in (None, 3):
-        if block is not None:
-            monkeypatch.setattr(fields, "_BLOCK", block)
+    for block, run in ((fields._BLOCK, fields._SCALAR_RUN), (fields._BLOCK, 1), (3, 3), (3, 1)):
+        monkeypatch.setattr(fields, "_BLOCK", block)
+        monkeypatch.setattr(fields, "_SCALAR_RUN", run)
         for h in (1, 2, ctx.q - 1, ctx.generator()):
-            for count in (0, 1, 2, 5, 17, 40):
+            for count in (0, 1, 2, 3, 4, 5, 17, 40):
                 got = ctx.powers(h, count)
                 assert got.dtype == np.int64
                 assert got.tolist() == [ctx.pow(h, k) for k in range(count)]
     with pytest.raises(ValueError):
         ctx.powers(np.int64(2), 3)
+
+
+def _literal_mul(ctx):
+    """x * y by the dense polynomial helpers, sharing no code with mul or vmul."""
+    p, m, f = ctx.p, ctx.m, ctx.modulus
+
+    def mul(x, y):
+        r = _poly_mod(_poly_mul(ctx.decode(x), ctx.decode(y), p), f, p)
+        return ctx.encode(r + [0] * (m - len(r)))
+    return mul
+
+
+SMALL_FIELDS = [(p, m) for p in range(2, 257) if is_prime(p) for m in range(1, 9) if p ** m <= 256]
+
+
+@pytest.mark.parametrize("pm", SMALL_FIELDS, ids=str)
+def test_mul_matches_polynomials_exhaustively(pm):
+    ctx = make_field(*pm)
+    literal = _literal_mul(ctx)
+    for x in ctx.elements():
+        assert [ctx.mul(x, y) for y in ctx.elements()] == [literal(x, y) for y in ctx.elements()]
+
+
+@pytest.mark.parametrize("pm", [(2, 14), (3, 9), (5, 6), (46337, 2), (2, 31)])
+def test_mul_matches_polynomials_sampled(pm):
+    # GF(46337^2) has the widest lanes (33 bits) and no spread table;
+    # GF(2^31) has the most lanes
+    ctx = make_field(*pm)
+    literal = _literal_mul(ctx)
+    rng = np.random.default_rng(sum(pm))
+    xs = [0, 1, ctx.q - 1] + rng.integers(0, ctx.q, 2000).tolist()
+    ys = [ctx.q - 1, ctx.q - 1, ctx.q - 1] + rng.integers(0, ctx.q, 2000).tolist()
+    assert [ctx.mul(x, y) for x, y in zip(xs, ys)] == [literal(x, y) for x, y in zip(xs, ys)]
 
 
 @pytest.mark.parametrize("pm", [(2, 2), (2, 7), (2, 14), (3, 9), (5, 6), (7, 4), (13, 3)])
