@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import Field, divisors
-from .sets import ESet, shift
+from .sets import ESet
 from .subgroups import subgroup_of_order
 
 FAMILIES = ("random", "subgroup", "shifted_subgroup", "interval", "geometric")
@@ -49,15 +49,16 @@ def generate_family(ctx: Field, family: str, size: int, seed: int,
     if family == "random":
         rng = stream_rng(seed, trial, stream)
         codes = rng.choice(ctx.q - 1, size=size, replace=False) + 1
-        return ESet(ctx, codes.tolist())
+        return ESet(ctx, codes)
     if family == "subgroup":
         return subgroup_of_order(ctx, largest_subgroup_order(ctx, size)).elements
     if family == "shifted_subgroup":
         G = subgroup_of_order(ctx, largest_subgroup_order(ctx, size)).elements
-        return ESet(ctx, [c for c in shift(G, 1).codes if c != 0])
+        codes = ctx.vadd(G.codes, 1)
+        return ESet(ctx, codes[codes != 0])
     if family == "interval":
         if ctx.m != 1:
             raise ValueError("interval family needs a prime field")
-        return ESet(ctx, range(1, size + 1))
+        return ESet(ctx, np.arange(1, size + 1))
     # geometric: g has order q - 1, so the first `size` powers are distinct
-    return ESet(ctx, ctx.powers(ctx.generator(), size).tolist())
+    return ESet(ctx, ctx.powers(ctx.generator(), size))

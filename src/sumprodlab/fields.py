@@ -12,7 +12,9 @@ s = bit_length((2m - 1)(p - 1)^2), the two ints are multiplied, and each
 high lane folds into the low lanes through a packed row of t^k mod the
 modulus.  No lane ever carries into the next, so the low lanes read off
 mod p give the product's code.  The array operations (vmul) work digit by
-digit instead and share no code with it.
+digit instead and share no code with it.  vtrace(x, a) gives Tr(a * x)
+from the digits of x against the form (Tr(a * t^i))_{i<m}, since the
+trace is linear over GF(p), so it needs no array multiplication.
 
 Field contexts are immutable after construction.  Every per-field table
 lives on the Field: the generator, the trace basis, the subfields and the
@@ -503,13 +505,31 @@ class Field:
             out += low[i] % p
         return out
 
-    def vtrace(self, x):
-        """Elementwise trace down to the prime field, as codes < p."""
+    def vtrace(self, x, a=1):
+        """Elementwise Tr(a * x) down to the prime field, as codes < p.
+
+        Tr is linear over the prime field (Lidl-Niederreiter, Finite Fields,
+        Thm 2.23), so Tr(a * x) = sum_i x_i * Tr(a * t^i) over the digits x_i
+        of x: the form (Tr(a * t^i))_{i<m} takes m scalar products, and x
+        pays one digit pass against it, with no array multiplication.  For
+        m = 1 it is a * x mod p, multiplied into int64 directly, so an int32
+        input (gauss's power tables) is not first copied to int64.
+        """
+        self.check(a)
+        p = self.p
+        if self.m == 1:
+            out = np.multiply(x, a, dtype=np.int64)
+            out %= p
+            return out
         x = np.asarray(x, dtype=np.int64)
+        form = [self.trace(self.mul(a, w)) for w in self._place]
         out = np.zeros(x.shape, dtype=np.int64)
-        for d, t in zip(self._digits(x), self._trace_basis_codes()):
-            out += d * t
-        return out % self.p
+        for d, c in zip(self._digits(x), form):
+            if c:
+                d *= c
+                out += d
+        out %= p
+        return out
 
     def powers(self, h, count):
         """h^0, ..., h^(count-1) as an int64 array, by doubling.
@@ -636,7 +656,7 @@ class Field:
             from .sets import ESet
 
             codes, _ = self.unit_subgroup(self.p ** nu - 1)
-            cached = ESet(self, [0] + codes.tolist())
+            cached = ESet(self, np.concatenate(([0], codes)))
             self._subfields[nu] = cached
         return cached
 

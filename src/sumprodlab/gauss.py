@@ -3,7 +3,9 @@ classical/energy-based magnitude bounds.
 
 The direct path evaluates sum over x of psi_a(x^n) literally: a power table
 x -> x^n built by square-and-multiply (vectorized polynomial arithmetic, no
-generator or discrete-log shortcuts), then one character per element.  The
+generator or discrete-log shortcuts), then the trace Tr(a * y) of every
+entry y, read off y's digits against the form (Tr(a * t^i))_{i<m}
+(Field.vtrace), so a character pays no array multiplication.  The
 subgroup path uses the exact decomposition S_n(a) = 1 + n * S(a, G_n) for
 n | q - 1.  The two are computed independently and must agree exactly, in
 integers: x -> x^n sends 0 to 0 and the units n-to-1 onto G_n, so the
@@ -57,7 +59,10 @@ def _vpow(ctx: Field, base, e: int):
 
 @functools.lru_cache(maxsize=16)
 def _power_table(ctx: Field, n: int):
-    """Read-only array y with y[x] = x**n for every code x, by square-and-multiply.
+    """Read-only int32 array y with y[x] = x**n for every code x, by square-and-multiply.
+
+    int32 holds every code below MAX_DIRECT_Q and halves the cached bytes;
+    the array operations that read the table cast it to int64.
 
     For n > 1 dividing q - 1, the table is that of n / ell raised to the
     power ell, for the smallest prime ell of q - 1 dividing n; the table of
@@ -76,6 +81,7 @@ def _power_table(ctx: Field, n: int):
         result = _vpow(ctx, _power_table(ctx, n // ell), ell)
     else:
         result = _vpow(ctx, np.arange(ctx.q, dtype=np.int64), n)
+    result = result.astype(np.int32)
     result.flags.writeable = False
     return result
 
@@ -102,7 +108,7 @@ def _subgroup_table(ctx: Field, n: int) -> _SubgroupTable:
 
 def _char_sum_over_codes(ctx, a, codes):
     """(sum of psi_a over codes, the traces Tr(a * code) it summed)."""
-    tr = ctx.vtrace(ctx.vmul(a, codes))
+    tr = ctx.vtrace(codes, a)
     return complex(np.sum(ctx.roots[tr])), tr
 
 

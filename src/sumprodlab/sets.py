@@ -1,16 +1,21 @@
 """Finite subsets of a field and the product/sum/shift/dilate algebra on them.
 
 An ESet is immutable: one sorted tuple of element codes, which membership
-searches by bisection.  All set operations return new ESets and require
-both operands to live in the same field.
+searches by bisection.  It is built from any iterable of integer codes,
+each one cleaned on its own, or from a 1-D integer array, taken whole:
+as it is when strictly increasing, sorted and deduplicated otherwise.  The
+set operations hand it their arrays.  All set operations return new ESets
+and require both operands to live in the same field.
 
 Set operations and energies rest on one pair count, _pair_counts, with
 four exact paths: sums and differences in a prime field count tile by tile
 into cache-sized windows, with no modulo per pair; sums and differences of
 large sets in GF(p^m), m > 1, multiply transforms over the group Z_p^m;
-products, and small sets in GF(p^m), bincount over all q codes; fields
-above 2^22 merge sorted blocks.  Prime fields have no FFT path, because a
-transform over a field near 10^6 needs more memory than the exact counts.
+the other pairs merge sorted blocks in fields above 2^22, and also when
+they are few against q; what remains (products, and small sets in
+GF(p^m)) bincounts over all q codes.  Prime fields have no FFT path,
+because a transform over a field near 10^6 needs more memory than the
+exact counts.
 Membership counts over many dilates (coset scans, triple covers) are row
 sums of np.isin over blocks of products, in _row_hits.
 """
@@ -32,6 +37,12 @@ _TILE = 1 << 16  # prime-field sum/difference tiles: narrowest width, fewest mea
 # broadcast pair costs 0.7-0.9 ns per unit of width, and the three transforms
 # 6-18 ns per m*p*q for q from 512 to 19683 (the most in the smallest fields).
 _TRANSFORM_RATIO = 16
+# Pairs that no kernel above takes go to a sorted merge instead of a bincount
+# over all q codes once q > _MERGE_BASE + _MERGE_RATIO * |X||Y|.  Measured on
+# a 2-vCPU Xeon beside the op itself: the dense count costs about 5 us plus
+# 3-7 ns per code, the merge about 19 us plus 30-40 ns per pair.
+_MERGE_BASE = 4096
+_MERGE_RATIO = 8
 
 
 def _code(c) -> int:
@@ -45,12 +56,25 @@ def _code(c) -> int:
 
 
 class ESet:
-    """Immutable subset of a field: one tuple of strictly increasing element codes."""
+    """Immutable subset of a field: one tuple of strictly increasing element codes.
+
+    codes is any iterable of integers, each cleaned by _code; a 1-D integer
+    ndarray is taken whole instead, as it is when strictly increasing and
+    sorted and deduplicated otherwise.  That is np.sort and a mask rather
+    than np.unique, whose first call in a process raised its peak memory by
+    1.2 MB (numpy 2.4).
+    """
 
     __slots__ = ("ctx", "codes")
 
     def __init__(self, ctx: Field, codes):
-        cleaned = sorted({_code(c) for c in codes})
+        if isinstance(codes, np.ndarray) and codes.ndim == 1 and codes.dtype.kind in "iu":
+            if not (codes[1:] > codes[:-1]).all():
+                codes = np.sort(codes)
+                codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
+            cleaned = codes.tolist()
+        else:
+            cleaned = sorted({_code(c) for c in codes})
         if cleaned and (cleaned[0] < 0 or cleaned[-1] >= ctx.q):
             raise ValueError(f"element code out of range for {ctx!r}")
         self.ctx = ctx
@@ -98,8 +122,12 @@ def _same_field(*sets):
 
 
 def _merge(values, counts):
-    """Sort values and add up the counts of equal ones."""
-    order = np.argsort(values, kind="stable")
+    """Sort values and add up the counts of equal ones.
+
+    Equal values' counts are summed in any order, so the sort need not be
+    stable: a stable argsort of 16,384 int64 took 1.5 ms, the default 0.3 ms.
+    """
+    order = np.argsort(values)
     values = values[order]
     first = np.flatnonzero(np.diff(values, prepend=-1))
     return values[first], np.add.reduceat(counts[order], first)
@@ -244,14 +272,16 @@ def _pair_counts(ctx: Field, xs, ys, op):
     op is one of Field's array operations, called as op(ctx, x, y).  Four
     exact paths, chosen by the field, the op and the sizes:
 
-    - q > TABLE_LIMIT: blocks of pairs go to a sorted merge, since a count
-      per code would not fit;
-    - prime fields, vadd and vsub: _tiled_counts, which bincounts cache-sized
-      windows and needs no modulo per pair (for the sums of a set with
-      itself, passed as the same object, it visits half the tile pairs);
+    - prime fields up to TABLE_LIMIT, vadd and vsub: _tiled_counts, which
+      bincounts cache-sized windows and needs no modulo per pair (for the
+      sums of a set with itself, passed as the same object, it visits half
+      the tile pairs);
     - m > 1, vadd and vsub, q*p <= _BLOCK and |X||Y|*width above
       _TRANSFORM_RATIO * m*p*q: _transform_counts over Z_p^m, falling back
-      to the bincount below if its rounding is not exact;
+      to the two paths below if its rounding is not exact;
+    - otherwise, q > TABLE_LIMIT, where a count per code would not fit, or
+      few pairs against q (q > _MERGE_BASE + _MERGE_RATIO * |X||Y|): blocks
+      of pairs go to a sorted merge;
     - otherwise (vmul, or small sets for m > 1): blocks of op(x, y) go to a
       bincount over all q codes.
 
@@ -261,20 +291,20 @@ def _pair_counts(ctx: Field, xs, ys, op):
     """
     xa = np.asarray(xs, dtype=np.int64)
     ya = np.asarray(ys, dtype=np.int64)
-    if ctx.q > TABLE_LIMIT:
-        values = counts = np.zeros(0, dtype=np.int64)
-        for z in _op_blocks(ctx, xa, ya, op):
-            values, counts = _merge(np.concatenate([values, z], axis=None),
-                                    np.concatenate([counts, np.ones_like(z)], axis=None))
-        return values, counts
     counts = None
     if op in (Field.vadd, Field.vsub):
-        if ctx.m == 1:
+        if ctx.m == 1 and ctx.q <= TABLE_LIMIT:
             counts = _tiled_counts(ctx.p, xa, ya, op is Field.vsub, ys is xs)
         elif (ctx.q * ctx.p <= _BLOCK and xa.size * ya.size * ctx.width
               > _TRANSFORM_RATIO * ctx.m * ctx.p * ctx.q):
             counts = _transform_counts(ctx, xa, ya, ys is xs, op is Field.vsub)
     if counts is None:
+        if ctx.q > TABLE_LIMIT or ctx.q > _MERGE_BASE + _MERGE_RATIO * xa.size * ya.size:
+            values = counts = np.zeros(0, dtype=np.int64)
+            for z in _op_blocks(ctx, xa, ya, op):
+                values, counts = _merge(np.concatenate([values, z], axis=None),
+                                        np.concatenate([counts, np.ones_like(z)], axis=None))
+            return values, counts
         counts = np.zeros(ctx.q, dtype=np.int64)
         for z in _op_blocks(ctx, xa, ya, op):
             counts += np.bincount(z.ravel(), minlength=ctx.q)
@@ -285,7 +315,7 @@ def _pair_counts(ctx: Field, xs, ys, op):
 def _support(A: ESet, B: ESet, op) -> ESet:
     ctx = _same_field(A, B)
     values, _ = _pair_counts(ctx, A.codes, B.codes, op)
-    return ESet(ctx, values.tolist())
+    return ESet(ctx, values)
 
 
 def product_set(A: ESet, B: ESet) -> ESet:
@@ -307,7 +337,7 @@ def shift(A: ESet, d) -> ESet:
     """A + d; a bijection, so the size is preserved."""
     ctx = A.ctx
     ctx.check(d)
-    return ESet(ctx, ctx.vadd(A.codes, d).tolist())
+    return ESet(ctx, ctx.vadd(A.codes, d))
 
 
 def dilate(A: ESet, alpha) -> ESet:
@@ -316,7 +346,7 @@ def dilate(A: ESet, alpha) -> ESet:
     ctx.check(alpha)
     if alpha == 0:
         raise ValueError("dilation by 0 collapses the set")
-    return ESet(ctx, ctx.vmul(alpha, A.codes).tolist())
+    return ESet(ctx, ctx.vmul(alpha, A.codes))
 
 
 @dataclass(frozen=True)

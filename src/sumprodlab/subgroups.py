@@ -90,7 +90,7 @@ def _orbit_energy(G: SubgroupInfo) -> int:
 def subgroup_of_order(ctx: Field, t: int) -> SubgroupInfo:
     """The unique subgroup of order t of the cyclic unit group; t must divide q - 1."""
     codes, h = ctx.unit_subgroup(t)
-    return SubgroupInfo(ESet(ctx, codes.tolist()), t, h)
+    return SubgroupInfo(ESet(ctx, codes), t, h)
 
 
 def nth_power_subgroup(ctx: Field, n: int) -> SubgroupInfo:

@@ -86,7 +86,7 @@ def _sample_set(rng, ctx, size: int, nonzero: bool = False) -> ESet:
     lo = 1 if nonzero else 0
     size = min(size, ctx.q - lo)
     codes = rng.choice(ctx.q - lo, size=size, replace=False) + lo
-    return ESet(ctx, codes.tolist())
+    return ESet(ctx, codes)
 
 
 def _pick(rng, seq):

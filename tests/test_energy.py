@@ -97,6 +97,40 @@ def test_sorted_merge_above_dense_limit(pm, block, monkeypatch):
         assert set(difference_set(X, Y).codes) == {ctx.sub(a, b) for a in X for b in Y}
 
 
+@pytest.mark.parametrize("side", ["merge", "dense", None])
+@pytest.mark.parametrize("pm", [(7, 1), (1031, 1), (2, 5), (3, 4), (8191, 1), (2, 14), (1000003, 1)])
+def test_few_pairs_merge_condition(pm, side, monkeypatch):
+    # below TABLE_LIMIT, pairs no sum kernel takes merge when few against q;
+    # both sides of the condition give the oracle's answers
+    if side == "merge":
+        monkeypatch.setattr(sets, "_MERGE_BASE", 0)
+        monkeypatch.setattr(sets, "_MERGE_RATIO", 0)
+    elif side == "dense":
+        monkeypatch.setattr(sets, "_MERGE_BASE", 2 ** 62)
+    merged = []
+    real = sets._merge
+    monkeypatch.setattr(sets, "_merge", lambda v, c: merged.append(v.size) or real(v, c))
+    ctx = make_field(*pm)
+    budget = oracle.OracleBudget(max_q=ctx.q)
+    rng = random.Random(f"merge:{pm}")
+    q = ctx.q
+    A = S(ctx, [0, 1, q - 1] + rng.sample(range(q), min(q, 9)))
+    B = S(ctx, [1, q - 1] + rng.sample(range(1, q), min(q - 1, 4)))
+    one = S(ctx, [q - 1])
+    for X, Y in ((A, B), (B, A), (A, A), (one, A), (one, one)):
+        del merged[:]
+        assert list(product_set(X, Y).codes) == oracle.product_set_brute(X, Y, budget)
+        for kind in ("additive", "multiplicative"):
+            assert energy(X, Y, kind=kind).value == oracle.energy_brute(X, Y, kind, budget)
+        if ctx.m > 1:
+            assert list(sum_set(X, Y).codes) == sorted({ctx.add(a, b) for a in X for b in Y})
+            assert list(difference_set(X, Y).codes) == sorted({ctx.sub(a, b) for a in X for b in Y})
+        few = q > sets._MERGE_BASE + sets._MERGE_RATIO * len(X) * len(Y)
+        assert bool(merged) == few
+        if side is None:  # fields up to 4096 codes always bincount; larger ones merge these
+            assert few == (q > 4096)
+
+
 @pytest.mark.parametrize("tile, block", [(1, None), (2, 7), (3, None), (5, 3), (None, None)])
 def test_tiled_prime_sums_and_differences(tile, block, monkeypatch):
     # tiny tiles run many intervals, windows that wrap past p and row blocks

@@ -159,6 +159,35 @@ def test_trace_frozen_and_linear():
                 assert ctx16.trace(ctx16.add(x, y)) == (ctx16.trace(x) + ctx16.trace(y)) % 2
 
 
+
+@pytest.mark.parametrize("pm", [(2, 1), (7, 1), (251, 1), (2, 8), (3, 5), (5, 3), (7, 2)])
+def test_trace_form_exhaustive(pm):
+    # Tr(a * x) through the form (Tr(a * t^i))_i, for every a and x of a small field
+    ctx = make_field(*pm)
+    xs = np.arange(ctx.q)
+    for a in range(ctx.q):
+        got = ctx.vtrace(xs, a)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, ctx.vtrace(ctx.vmul(a, xs)))
+        assert got.tolist() == [ctx.trace(ctx.mul(a, x)) for x in range(ctx.q)]
+
+
+@pytest.mark.parametrize("pm", [(2, 14), (3, 9), (5, 6), (8191, 1), (999983, 1)])
+def test_trace_form_sampled(pm):
+    # 40 characters a times 50 codes x, with a = 0, a = 1 and x = 0 among them
+    ctx = make_field(*pm)
+    rng = np.random.default_rng(ctx.q)
+    a_s = [0, 1, ctx.q - 1] + rng.integers(2, ctx.q, 37).tolist()
+    xs = np.concatenate([[0, 1, ctx.q - 1], rng.integers(0, ctx.q, 47)])
+    for a in a_s:
+        got = ctx.vtrace(xs, a)
+        assert np.array_equal(got, ctx.vtrace(ctx.vmul(a, xs)))
+        assert got.tolist() == [ctx.trace(ctx.mul(a, int(x))) for x in xs]
+    assert ctx.vtrace(xs.astype(np.int32), 5).tolist() == ctx.vtrace(xs, 5).tolist()
+    with pytest.raises(ValueError):
+        ctx.vtrace(xs, ctx.q)
+
+
 def test_additive_char():
     ctx = make_field(5)
     z = ctx.additive_char(1, 1)

@@ -6,7 +6,7 @@ import pytest
 
 from sumprodlab import gauss
 from sumprodlab.energy import energy
-from sumprodlab.fields import divisors, make_field
+from sumprodlab.fields import Field, divisors, make_field
 from sumprodlab.gauss import (GAUSS_CSV_HEADER, MAX_DIRECT_Q, GaussReport,
                               gauss_bounds_report, gauss_sum,
                               gauss_sum_by_subgroup, subgroup_character_sum)
@@ -145,7 +145,7 @@ def test_chained_power_tables(pm, monkeypatch):
     primes = {ell for ell in divisors(ctx.q - 1) if ell > 1 and len(divisors(ell)) == 2}
     for n in divisors(ctx.q - 1):  # ascending: every n > 1 raises a cached table to a prime
         table = gauss._power_table(ctx, n)
-        assert not table.flags.writeable
+        assert not table.flags.writeable and table.dtype == np.int32
         assert np.array_equal(table, _literal_powers(ctx, n))
     assert exponents[0] == 1 and set(exponents[1:]) <= primes
     # a cold cache chains down through the divisors it needs
@@ -201,6 +201,32 @@ def test_subgroup_table_shared_across_characters(monkeypatch):
     # only the last (field, n) is kept, and a table not asked for its energy never counts it
     gauss_sum_by_subgroup(ctx, 2, 5)
     assert built == [2, 4095, 2] and counted == [2, 4095]
+    gauss._subgroup_table.cache_clear()
+
+
+@pytest.mark.parametrize("pm, n", [((8191, 1), 3), ((3, 4), 4), ((2, 6), 9), ((7, 4), 2400)])
+def test_second_character_pays_no_vmul(pm, n, monkeypatch):
+    # once a (field, n) is built, a character evaluates through the trace
+    # form: no array multiplication per a
+    ctx = make_field(*pm)
+    gauss._power_table.cache_clear()
+    gauss._subgroup_table.cache_clear()
+    first = gauss_bounds_report(ctx, n, 1)
+    calls = []
+    real = Field.vmul
+
+    def counting(self, x, y):
+        calls.append(1)
+        return real(self, x, y)
+
+    monkeypatch.setattr(Field, "vmul", counting)
+    for a in (2, ctx.q - 1):
+        rep = gauss_bounds_report(ctx, n, a)
+        assert rep.group_energy == first.group_energy
+        gauss_sum(ctx, n, a)
+        gauss_sum_by_subgroup(ctx, n, a)
+    assert calls == []
+    gauss._power_table.cache_clear()
     gauss._subgroup_table.cache_clear()
 
 

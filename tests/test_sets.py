@@ -54,6 +54,35 @@ def test_eset_range_check():
             ESet(F(7), [2, bad])
 
 
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16])
+def test_eset_from_arrays(dtype):
+    ctx = F(3, 5)
+    rng = np.random.default_rng(7)
+    codes = rng.integers(0, ctx.q, 60)
+    codes = np.concatenate([codes, codes[:20], [0, ctx.q - 1]]).astype(dtype)
+    rng.shuffle(codes)
+    expect = ESet(ctx, codes.tolist())
+    for arr in (codes, np.sort(codes), np.unique(codes), codes[::3], np.unique(codes)[::-1]):
+        s = ESet(ctx, arr)
+        assert s == ESet(ctx, arr.tolist()) and hash(s) == hash(ESet(ctx, arr.tolist()))
+        assert all(type(c) is int for c in s.codes)
+    assert ESet(ctx, codes) == expect and ESet(ctx, np.unique(codes)).codes == expect.codes
+    assert ESet(ctx, np.zeros(0, dtype=dtype)).codes == ()
+    assert ESet(ctx, np.array([5], dtype=dtype)).codes == (5,)
+
+
+def test_eset_array_rejects():
+    ctx = F(7)
+    for bad in (np.array([True, False]), np.array([1.0, 2.0]), np.array([[1, 2], [3, 4]]),
+                np.array([3, -1, 2]), np.array([-1, 2, 3]), np.array([1, 7]), np.array([7, 1, 1]),
+                np.array([2, 1, 9], dtype=np.uint16), np.array([1, 2.5], dtype=object)):
+        with pytest.raises(ValueError):
+            ESet(ctx, bad)
+    # object arrays are cleaned code by code, as lists are
+    assert ESet(ctx, np.array([4, 1, 4], dtype=object)).codes == (1, 4)
+
+
 def test_product_set_frozen():
     ctx = F(7)
     out = product_set(ESet(ctx, [1, 2, 4]), ESet(ctx, [1, 3]))
