@@ -4,6 +4,8 @@ Randomness policy: every random draw comes from a PCG64 generator seeded
 with SeedSequence(entropy=seed, spawn_key=(trial, stream)).  The sweep
 reserves stream 0 for the base set A, 1 for the shift d, 2 for B, 3 for C,
 so rows are reproducible independently of execution order or thread count.
+draw_shift is the one loop that draws a shift d with -d outside A, for
+the sweep and the verify checks alike.
 """
 
 from __future__ import annotations
@@ -20,6 +22,17 @@ FAMILIES = ("random", "subgroup", "shifted_subgroup", "interval", "geometric")
 def stream_rng(seed: int, trial: int, stream: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial, stream))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+def draw_shift(ctx: Field, A: ESet, rng: np.random.Generator, tries: int) -> int | None:
+    """The first of up to `tries` draws d in [1, q) with -d outside A, so that
+    0 stays out of A + d; None when every try hits.  Each try consumes one
+    rng.integers(1, q)."""
+    for _ in range(tries):
+        d = int(rng.integers(1, ctx.q))
+        if ctx.neg(d) not in A:
+            return d
+    return None
 
 
 def largest_subgroup_order(ctx: Field, size: int) -> int:

@@ -8,14 +8,14 @@ set operations hand it their arrays.  All set operations return new ESets
 and require both operands to live in the same field.
 
 Set operations and energies rest on one pair count, _pair_counts, with
-four exact paths: sums and differences in a prime field count tile by tile
-into cache-sized windows, with no modulo per pair; sums and differences of
-large sets in GF(p^m), m > 1, multiply transforms over the group Z_p^m;
-the other pairs merge sorted blocks in fields above 2^22, and also when
-they are few against q; what remains (products, and small sets in
-GF(p^m)) bincounts over all q codes.  Prime fields have no FFT path,
-because a transform over a field near 10^6 needs more memory than the
-exact counts.
+four exact paths: prime-field sums and differences that split into two or
+more tiles count tile by tile into cache-sized windows, with no modulo per
+pair; sums and differences of large sets in GF(p^m), m > 1, multiply
+transforms over the group Z_p^m; every other count, products and sums
+alike, merges sorted blocks in fields above 2^22 and when its pairs are few
+against q, and bincounts over all q codes otherwise.  Prime fields have no
+FFT path, because a transform over a field near 10^6 needs more memory than
+the exact counts.
 Membership counts over many dilates (coset scans, triple covers) are row
 sums of np.isin over blocks of products, in _row_hits.
 """
@@ -23,13 +23,12 @@ sums of np.isin over blocks of products, in _row_hits.
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import _BLOCK, TABLE_LIMIT, Field
+from .fields import _BLOCK, TABLE_LIMIT, Field, _index
 
 _TILE = 1 << 16  # prime-field sum/difference tiles: narrowest width, fewest mean pairs
 # The Z_p^m transform counts sums and differences once the broadcast's
@@ -47,12 +46,10 @@ _MERGE_RATIO = 8
 
 def _code(c) -> int:
     """c as a Python int; numpy integers pass, bools and non-integers raise ValueError."""
-    try:
-        if not isinstance(c, bool):
-            return operator.index(c)
-    except TypeError:
-        pass
-    raise ValueError(f"{c!r} is not an element code")
+    v = _index(c)
+    if v is None:
+        raise ValueError(f"{c!r} is not an element code")
+    return v
 
 
 class ESet:
@@ -147,36 +144,29 @@ def _row_hits(ctx: Field, xs, ys, targets):
     return np.concatenate([np.zeros(0, dtype=np.int64)] + hits)
 
 
-def _tiled_counts(p: int, xs, ys, negate: bool, same: bool):
+def _tiled_counts(p: int, xs, ys, nb: int, negate: bool, same: bool):
     """Counts over Z_p of x + y, or of x - y when negate, for xs, ys in [0, p).
 
-    [0, p) is cut into nb intervals of width w.  A pair of intervals (a, b)
-    bincounts its local sums (x - aw) + (y - bw), or its local differences
-    (x - aw) + (w - (y - bw)), into a window of 2w codes and adds the window
-    at offset (a + b)w, or (a - b - 1)w, mod p.  So no pair pays a modulo,
-    and each bincount writes into a window of 2w codes instead of scattering
-    over all p counts.  nb is at most ceil(p / _TILE), so w is at least
-    about _TILE, and at most sqrt(|X||Y| / _TILE), so a pair of intervals
-    holds _TILE pairs on average.  With nb = 1 the window would be 2p long;
-    the sums are folded below p instead.
+    [0, p) is cut into nb >= 2 intervals of width w.  A pair of intervals
+    (a, b) bincounts its local sums (x - aw) + (y - bw), or its local
+    differences (x - aw) + (w - (y - bw)), into a window of 2w <= p + 1
+    codes and adds the window at offset (a + b)w, or (a - b - 1)w, mod p,
+    wrapping past p at most once.  So no pair pays a modulo, and each
+    bincount writes into its window instead of scattering over all p counts.
 
     same says ys holds the same codes as xs.  Sums are then symmetric: the
     intervals (a, b) and (b, a) give the same window, so only b <= a is
     visited and the window of b < a is added twice.
     """
-    nb = max(1, min(-(-p // _TILE), math.isqrt(xs.size * ys.size // _TILE)))
     w = -(-p // nb)
-    if nb == 1:  # one interval: no sort, which small sets would pay per call
-        xt, yt = [xs], [ys]
-    else:
-        xs = np.sort(xs)
-        ys = xs if same else np.sort(ys)
-        edges = np.arange(nb + 1, dtype=np.int64) * w
-        xcut = np.searchsorted(xs, edges)
-        ycut = np.searchsorted(ys, edges)
-        xt = [xs[xcut[a]:xcut[a + 1]] - a * w for a in range(nb)]
-        yt = [ys[ycut[b]:ycut[b + 1]] - b * w for b in range(nb)]
-    symmetric = same and not negate and nb > 1
+    xs = np.sort(xs)
+    ys = xs if same else np.sort(ys)
+    edges = np.arange(nb + 1, dtype=np.int64) * w
+    xcut = np.searchsorted(xs, edges)
+    ycut = np.searchsorted(ys, edges)
+    xt = [xs[xcut[a]:xcut[a + 1]] - a * w for a in range(nb)]
+    yt = [ys[ycut[b]:ycut[b + 1]] - b * w for b in range(nb)]
+    symmetric = same and not negate
     if negate:
         yt = [w - y for y in yt]
     counts = np.zeros(p, dtype=np.int64)
@@ -187,18 +177,12 @@ def _tiled_counts(p: int, xs, ys, negate: bool, same: bool):
             offset = ((a - b - 1) if negate else (a + b)) * w % p
             rows = max(1, _BLOCK // yl.size)
             for i in range(0, xl.size, rows):
-                z = (xl[i:i + rows, None] + yl).ravel()
-                if nb == 1:
-                    z[z >= p] -= p
-                    counts += np.bincount(z, minlength=p)
-                else:
-                    window = np.bincount(z, minlength=2 * w)
-                    if symmetric and b < a:
-                        window *= 2
-                    head = min(window.size, p - offset)
-                    counts[offset:offset + head] += window[:head]
-                    # 2w <= p + 1 when nb >= 2, so a window wraps at most once
-                    counts[:window.size - head] += window[head:]
+                window = np.bincount((xl[i:i + rows, None] + yl).ravel(), minlength=2 * w)
+                if symmetric and b < a:
+                    window *= 2
+                head = min(window.size, p - offset)
+                counts[offset:offset + head] += window[:head]
+                counts[:window.size - head] += window[head:]
     return counts
 
 
@@ -269,21 +253,23 @@ def _transform_counts(ctx: Field, xa, ya, same: bool, negate: bool):
 def _pair_counts(ctx: Field, xs, ys, op):
     """(values, counts): the distinct op(x, y) over xs x ys, ascending, and how often each occurs.
 
-    op is one of Field's array operations, called as op(ctx, x, y).  Four
-    exact paths, chosen by the field, the op and the sizes:
+    op is one of Field's array operations, called as op(ctx, x, y).  This is
+    the one place that picks a kernel, by the field, the op and the sizes:
 
-    - prime fields up to TABLE_LIMIT, vadd and vsub: _tiled_counts, which
-      bincounts cache-sized windows and needs no modulo per pair (for the
-      sums of a set with itself, passed as the same object, it visits half
-      the tile pairs);
+    - prime fields up to TABLE_LIMIT, vadd and vsub, when [0, p) splits into
+      nb = min(ceil(p / _TILE), isqrt(|X||Y| / _TILE)) >= 2 intervals, each
+      at least about _TILE wide, with _TILE pairs per pair of intervals on
+      average: _tiled_counts, which needs no modulo per pair (for the sums
+      of a set with itself, passed as the same object, it visits half the
+      tile pairs);
     - m > 1, vadd and vsub, q*p <= _BLOCK and |X||Y|*width above
       _TRANSFORM_RATIO * m*p*q: _transform_counts over Z_p^m, falling back
       to the two paths below if its rounding is not exact;
     - otherwise, q > TABLE_LIMIT, where a count per code would not fit, or
       few pairs against q (q > _MERGE_BASE + _MERGE_RATIO * |X||Y|): blocks
       of pairs go to a sorted merge;
-    - otherwise (vmul, or small sets for m > 1): blocks of op(x, y) go to a
-      bincount over all q codes.
+    - otherwise (products, and sums and differences that the kernels above
+      do not take): blocks of op(x, y) go to a bincount over all q codes.
 
     Prime fields have no FFT path: an rfft/irfft pair of length 2^21 (p near
     10^6) raised a process's peak memory from 35 MB to 123 MB, while no array
@@ -293,8 +279,10 @@ def _pair_counts(ctx: Field, xs, ys, op):
     ya = np.asarray(ys, dtype=np.int64)
     counts = None
     if op in (Field.vadd, Field.vsub):
-        if ctx.m == 1 and ctx.q <= TABLE_LIMIT:
-            counts = _tiled_counts(ctx.p, xa, ya, op is Field.vsub, ys is xs)
+        if ctx.m == 1:
+            nb = min(-(-ctx.p // _TILE), math.isqrt(xa.size * ya.size // _TILE))
+            if nb >= 2 and ctx.q <= TABLE_LIMIT:
+                counts = _tiled_counts(ctx.p, xa, ya, nb, op is Field.vsub, ys is xs)
         elif (ctx.q * ctx.p <= _BLOCK and xa.size * ya.size * ctx.width
               > _TRANSFORM_RATIO * ctx.m * ctx.p * ctx.q):
             counts = _transform_counts(ctx, xa, ya, ys is xs, op is Field.vsub)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .energy import growth_chain_report
-from .families import FAMILIES, generate_family, stream_rng
+from .families import FAMILIES, draw_shift, generate_family, stream_rng
 from .fields import make_field
 from .oracle import OracleBudget, product_set_brute
 from .sets import ESet, shift
@@ -165,12 +165,8 @@ def _build_instance(cfg: SweepConfig, ctx, size, trial):
         A = _strip(ctx, A, d)
         return A, shift(A, d), A, d
     if cfg.d_policy == "random_nonzero":
-        rng = stream_rng(cfg.seed, trial, _STREAM_D)
-        for _ in range(10000):
-            d = int(rng.integers(1, ctx.q))
-            if ctx.neg(d) not in A:
-                break
-        else:
+        d = draw_shift(ctx, A, stream_rng(cfg.seed, trial, _STREAM_D), 10000)
+        if d is None:
             raise ValueError("no shift d with -d outside A; the family nearly fills the field")
     else:
         d = ctx.check(cfg.d_policy)

@@ -21,6 +21,7 @@ from .energy import (cauchy_schwarz_chain, energy, growth_chain_report,
                      plunnecke_ruzsa_check, product_shift_identity,
                      shifted_subgroup_ratio, triple_cover_count,
                      triple_cover_totals)
+from .families import draw_shift
 from .fields import divisors, make_field
 from .gauss import gauss_bounds_report, gauss_sum, gauss_sum_by_subgroup, subgroup_character_sum
 from .sets import ESet, coset_scan, product_set, shift
@@ -225,13 +226,8 @@ def check_cauchy_schwarz_chain(max_q=512, witnesses=100):
         A = _sample_set(rng, ctx, s, nonzero=True)
         B = _sample_set(rng, ctx, len(A), nonzero=True)
         C = _sample_set(rng, ctx, int(rng.integers(2, 9)), nonzero=True)
-        d = 0
-        for _ in range(50):
-            cand = int(rng.integers(1, ctx.q))
-            if ctx.neg(cand) not in A:
-                d = cand
-                break
-        if d == 0:
+        d = draw_shift(ctx, A, rng, 50)
+        if d is None:
             continue
         s_prod = product_set(shift(A, d), C)
         if len(s_prod) < 3:
@@ -274,13 +270,8 @@ def check_growth_chain(max_q=512, instances=60):
         A = _sample_set(rng, ctx, s, nonzero=True)
         B = _sample_set(rng, ctx, len(A), nonzero=True)
         C = _sample_set(rng, ctx, len(A), nonzero=True)
-        d = 0
-        for _ in range(50):
-            cand = int(rng.integers(1, ctx.q))
-            if ctx.neg(cand) not in A:
-                d = cand
-                break
-        if d == 0:
+        d = draw_shift(ctx, A, rng, 50)
+        if d is None:
             continue
         rep = growth_chain_report(A, B, C, d)
         if rep.K < 1 or rep.L < 1:

@@ -122,19 +122,41 @@ def test_few_pairs_merge_condition(pm, side, monkeypatch):
         assert list(product_set(X, Y).codes) == oracle.product_set_brute(X, Y, budget)
         for kind in ("additive", "multiplicative"):
             assert energy(X, Y, kind=kind).value == oracle.energy_brute(X, Y, kind, budget)
-        if ctx.m > 1:
-            assert list(sum_set(X, Y).codes) == sorted({ctx.add(a, b) for a in X for b in Y})
-            assert list(difference_set(X, Y).codes) == sorted({ctx.sub(a, b) for a in X for b in Y})
+        assert list(sum_set(X, Y).codes) == sorted({ctx.add(a, b) for a in X for b in Y})
+        assert list(difference_set(X, Y).codes) == sorted({ctx.sub(a, b) for a in X for b in Y})
         few = q > sets._MERGE_BASE + sets._MERGE_RATIO * len(X) * len(Y)
         assert bool(merged) == few
         if side is None:  # fields up to 4096 codes always bincount; larger ones merge these
             assert few == (q > 4096)
 
 
+def test_few_prime_pairs_merge_without_tiles(monkeypatch):
+    # 100 pairs in GF(1000003) make no second tile: sums, differences and
+    # additive energy merge them, as products do, instead of counting over p
+    tiled, merged = [], []
+    real_tiled, real_merge = sets._tiled_counts, sets._merge
+    monkeypatch.setattr(sets, "_tiled_counts", lambda *args: tiled.append(args) or real_tiled(*args))
+    monkeypatch.setattr(sets, "_merge", lambda v, c: merged.append(v.size) or real_merge(v, c))
+    ctx = make_field(1000003)
+    budget = oracle.OracleBudget(max_q=ctx.q)
+    rng = random.Random("few-prime-pairs")
+    A, B = (S(ctx, rng.sample(range(ctx.q), 10)) for _ in range(2))
+    runs = [(lambda: list(sum_set(A, B).codes), sorted({ctx.add(a, b) for a in A for b in B})),
+            (lambda: list(difference_set(A, B).codes), sorted({ctx.sub(a, b) for a in A for b in B})),
+            (lambda: energy(A, B).value, oracle.energy_brute(A, B, "additive", budget)),
+            (lambda: energy(A).value, oracle.energy_brute(A, A, "additive", budget))]
+    for run, expect in runs:
+        del merged[:]
+        assert run() == expect
+        assert merged
+    assert tiled == []
+
+
 @pytest.mark.parametrize("tile, block", [(1, None), (2, 7), (3, None), (5, 3), (None, None)])
 def test_tiled_prime_sums_and_differences(tile, block, monkeypatch):
     # tiny tiles run many intervals, windows that wrap past p and row blocks
-    # inside a tile; the default _TILE keeps these small sets on one interval
+    # inside a tile; at the default _TILE these small sets make no second
+    # tile and go to the merge or the dense count
     if tile is not None:
         monkeypatch.setattr(sets, "_TILE", tile)
     if block is not None:

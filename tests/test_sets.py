@@ -135,18 +135,20 @@ def test_extension_sum_and_difference_sets(pm, ratio, monkeypatch):
 
 @pytest.mark.parametrize("tile", [1, 2, 3, 5])
 def test_symmetric_prime_tiles(tile, monkeypatch):
+    # the tiles run exactly when [0, p) splits into nb >= 2 intervals; then
     # X + X passed as one object visits tile pairs b <= a only and doubles
-    # b < a; an equal copy, and every difference, takes the full loop
+    # b < a, while an equal copy, and every difference, takes the full loop
     monkeypatch.setattr(sets, "_TILE", tile)
-    flags = []
+    calls = []
     real = sets._tiled_counts
 
-    def spy(p, xs, ys, negate, same):
-        flags.append(same)
-        return real(p, xs, ys, negate, same)
+    def spy(p, xs, ys, nb, negate, same):
+        calls.append((nb, same))
+        return real(p, xs, ys, nb, negate, same)
 
     monkeypatch.setattr(sets, "_tiled_counts", spy)
     rng = random.Random(f"symmetric:{tile}")
+    routes = set()
     for p in (2, 3, 101, 10007):
         ctx = F(p)
         cases = [[0], [p - 1], [0, p - 1]]
@@ -154,16 +156,19 @@ def test_symmetric_prime_tiles(tile, monkeypatch):
         for codes in cases:
             X = ESet(ctx, codes)
             copy = tuple(list(X.codes))
+            nb = min(-(-p // tile), math.isqrt(len(X) ** 2 // tile))
+            routes.add(nb >= 2)
             for op, scalar in ((Field.vadd, ctx.add), (Field.vsub, ctx.sub)):
                 expect = sorted(Counter(scalar(a, b) for a in X for b in X).items())
                 for ys, same in ((X.codes, True), (copy, False)):
-                    del flags[:]
+                    del calls[:]
                     values, counts = sets._pair_counts(ctx, X.codes, ys, op)
-                    assert flags == [same]
+                    assert calls == ([(nb, same)] if nb >= 2 else [])
                     assert list(zip(values.tolist(), counts.tolist())) == expect
             pairs = Counter(ctx.add(a, b) for a in X for b in X)
             assert energy(X).value == sum(c * c for c in pairs.values())
             assert energy(X, ESet(ctx, codes)).value == energy(X).value
+    assert routes == {True, False}
 
 
 def test_symmetric_tiles_visit_half_the_pairs(monkeypatch):
