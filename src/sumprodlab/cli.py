@@ -15,10 +15,8 @@ from .energy import energy
 from .fields import make_field
 from .gauss import GAUSS_CSV_HEADER, gauss_bounds_report, gauss_sum_by_subgroup
 from .sets import ESet, product_set
-from .subgroups import (DIFF_RATIO_EXPONENT_EXT, DIFF_RATIO_EXPONENT_PRIME,
-                        difference_count, gcd_growth_condition,
-                        nth_power_subgroup, subfield_overlap_condition,
-                        subgroup_of_order)
+from .subgroups import (difference_count, gcd_growth_condition, nth_power_subgroup,
+                        subfield_overlap_condition, subgroup_of_order)
 from .sweep import SweepConfig, _fmt, exponent_fit, run_sweep
 from .verify import SUITE_NAMES, run_suite
 
@@ -135,13 +133,12 @@ def _cmd_count(args) -> int:
     G = subgroup_of_order(ctx, args.g_order).elements
     H = subgroup_of_order(ctx, args.h_order).elements
     res = difference_count(G, H, args.d)
-    e = DIFF_RATIO_EXPONENT_PRIME if ctx.m == 1 else DIFF_RATIO_EXPONENT_EXT
     if args.json:
         print(json.dumps({"count": res.count, "ratio": res.ratio,
-                          "exponent": float(e)}, sort_keys=True))
+                          "exponent": res.exponent}, sort_keys=True))
     else:
         print(f"solutions of g - h = {args.d}: {res.count}")
-        print(f"count / max(|G|,|H|)^{float(e)!r} = {res.ratio!r}")
+        print(f"count / max(|G|,|H|)^{res.exponent!r} = {res.ratio!r}")
     return 0
 
 

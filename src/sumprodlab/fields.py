@@ -16,13 +16,18 @@ digit instead and share no code with it.  vtrace(x, a) gives Tr(a * x)
 from the digits of x against the form (Tr(a * t^i))_{i<m}, since the
 trace is linear over GF(p), so it needs no array multiplication.
 
+Scalar add and sub in GF(p^m), m > 1, share one base-p digit loop, as
+vadd and vsub share one digit pass; neg(x) is sub(0, x).
+
 Field contexts are immutable after construction.  Every per-field table
-lives on the Field: the generator, the trace basis, the subfields and the
-p-th roots of unity.  Each is a write-once cache computed on first use and
-handed out read-only; recomputing one in a race is idempotent, so contexts
-may be shared between threads.  Powers of an element are listed by
-doubling (powers), after a short scalar run in extension fields, and not
-cached: a subgroup of order t costs O(t) work whatever the field order.
+lives on the Field as a write-once cache, computed on first use and handed
+out read-only.  The generator (which generator() returns), the trace basis
+and the p-th roots of unity are functools.cached_property values; the
+subfields sit in a dict keyed by nu.  Recomputing one in a race is
+idempotent, so contexts may be shared between threads.  Powers of an
+element are listed by doubling (powers), after a short scalar run in
+extension fields, and not cached: a subgroup of order t costs O(t) work
+whatever the field order.
 """
 
 from __future__ import annotations
@@ -235,10 +240,7 @@ class Field:
         # the heap and stay resident once freed (measured as peak RSS),
         # unlike the one large array of a prime field.
         self.width = 1 if m == 1 else 4 * (2 * m + 1)
-        # write-once caches
-        self._generator = None
-        self._trace_basis = None
-        self._subfields = {}
+        self._subfields = {}  # write-once, keyed by nu
 
     def _reduction_rows(self):
         # row k-m holds the coefficients of t^k mod modulus, m <= k <= 2m-2
@@ -325,43 +327,27 @@ class Field:
     def add(self, x, y):
         self.check(x)
         self.check(y)
-        p = self.p
         if self.m == 1:
-            return (x + y) % p
-        out = 0
-        mult = 1
-        while x or y:
-            out += ((x % p) + (y % p)) % p * mult
-            x //= p
-            y //= p
-            mult *= p
-        return out
-
-    def neg(self, x):
-        self.check(x)
-        p = self.p
-        if self.m == 1:
-            return (-x) % p
-        out = 0
-        mult = 1
-        while x:
-            d = x % p
-            if d:
-                out += (p - d) * mult
-            x //= p
-            mult *= p
-        return out
+            return (x + y) % self.p
+        return self._digit_sum(x, y, 1)
 
     def sub(self, x, y):
         self.check(x)
         self.check(y)
-        p = self.p
         if self.m == 1:
-            return (x - y) % p
+            return (x - y) % self.p
+        return self._digit_sum(x, y, -1)
+
+    def neg(self, x):
+        return self.sub(0, x)
+
+    def _digit_sum(self, x, y, sign):
+        """x + sign * y, base-p digit by digit (m > 1)."""
+        p = self.p
         out = 0
         mult = 1
         while x or y:
-            out += ((x % p) - (y % p)) % p * mult
+            out += (x % p + sign * (y % p)) % p * mult
             x //= p
             y //= p
             mult *= p
@@ -560,24 +546,21 @@ class Field:
 
     # -- structure ------------------------------------------------------------
 
-    def _trace_basis_codes(self):
+    @functools.cached_property
+    def _trace_basis(self):
         """Tr(t^i) for i < m, built once through scalar Frobenius powers."""
-        tb = self._trace_basis
-        if tb is None:
-            tb = []
-            for i in range(self.m):
-                z = self.p ** i
-                acc = z
-                w = z
-                for _ in range(self.m - 1):
-                    w = self.pow(w, self.p)
-                    acc = self.add(acc, w)
-                if acc >= self.p:
-                    raise RuntimeError("trace left the prime subfield; modulus arithmetic is broken")
-                tb.append(acc)
-            tb = tuple(tb)
-            self._trace_basis = tb
-        return tb
+        tb = []
+        for i in range(self.m):
+            z = self.p ** i
+            acc = z
+            w = z
+            for _ in range(self.m - 1):
+                w = self.pow(w, self.p)
+                acc = self.add(acc, w)
+            if acc >= self.p:
+                raise RuntimeError("trace left the prime subfield; modulus arithmetic is broken")
+            tb.append(acc)
+        return tuple(tb)
 
     def trace(self, x):
         """Trace down to the prime field: x + x^p + ... + x^(p^(m-1)), as a code < p.
@@ -588,7 +571,7 @@ class Field:
         self.check(x)
         if self.m == 1:
             return x
-        tb = self._trace_basis_codes()
+        tb = self._trace_basis
         p = self.p
         total = 0
         i = 0
@@ -615,18 +598,18 @@ class Field:
 
     def generator(self):
         """Smallest-code element of multiplicative order q - 1 (cached)."""
-        g = self._generator
-        if g is None:
-            n = self.q - 1
-            checks = [n // ell for ell, _ in factorize(n)] if n > 1 else []
-            for cand in range(1, self.q):
-                if all(self.pow(cand, e) != 1 for e in checks):
-                    g = cand
-                    break
-            else:  # pragma: no cover - the group is cyclic, a generator exists
-                raise RuntimeError("no generator found")
-            self._generator = g
-        return g
+        # a plain method, not the cached_property itself: perfbench's tracer
+        # times it as a span by wrapping the function in the class __dict__
+        return self._generator
+
+    @functools.cached_property
+    def _generator(self):
+        n = self.q - 1
+        checks = [n // ell for ell, _ in factorize(n)] if n > 1 else []
+        for cand in range(1, self.q):
+            if all(self.pow(cand, e) != 1 for e in checks):
+                return cand
+        raise RuntimeError("no generator found")  # pragma: no cover - the group is cyclic
 
     def unit_subgroup(self, t):
         """(codes, h): the order-t subgroup of the unit group and its generator.

@@ -184,14 +184,15 @@ def subfield_overlap_condition(G: SubgroupInfo,
 class DifferenceCount(NamedTuple):
     count: int
     ratio: float
+    exponent: float
 
 
 def difference_count(G: ESet, H: ESet, d) -> DifferenceCount:
     """Solutions of g - h = d with g in G, h in H, plus the saving ratio.
 
-    The ratio divides the count by max(|G|, |H|)^e with e = 26/27 in prime
-    fields and 559/560 in extensions; it carries implied constant 1 and is
-    informational only.
+    The ratio divides the count by max(|G|, |H|)^e with the exponent
+    e = 26/27 in prime fields and 559/560 in extensions, returned as a
+    float; it carries implied constant 1 and is informational only.
     """
     ctx = _same_field(G, H)
     ctx.check(d)
@@ -200,9 +201,8 @@ def difference_count(G: ESet, H: ESet, d) -> DifferenceCount:
     if len(G) == 0 or len(H) == 0:
         raise ValueError("sets must be nonempty")
     count = int(np.isin(ctx.vsub(G.codes, d), H.codes).sum())
-    e = DIFF_RATIO_EXPONENT_PRIME if ctx.m == 1 else DIFF_RATIO_EXPONENT_EXT
-    denom = float(max(len(G), len(H))) ** float(e)
-    return DifferenceCount(count, count / denom)
+    e = float(DIFF_RATIO_EXPONENT_PRIME if ctx.m == 1 else DIFF_RATIO_EXPONENT_EXT)
+    return DifferenceCount(count, count / float(max(len(G), len(H))) ** e, e)
 
 
 class SubgroupEnergy(NamedTuple):

@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 from collections import Counter
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumprodlab import oracle, sets
-from sumprodlab.energy import (EnergyReport, cauchy_schwarz_chain, energy,
+from sumprodlab.energy import (KINDS, EnergyReport, cauchy_schwarz_chain, energy,
                                growth_chain_report, make_triple_witness,
                                pair_energy_bound_ratio, plunnecke_ruzsa_check,
                                product_shift_identity, shifted_subgroup_ratio,
@@ -49,6 +50,21 @@ def test_energy_two_sets_and_empty():
         energy(S(f7, [1]), kind="odd")
     with pytest.raises(ValueError):
         energy(S(f7, [1]), S(make_field(11), [1]))
+
+
+@pytest.mark.parametrize("pm", [(10007, 1), (3, 5)])
+def test_energy_python_int_sum_of_squares(pm, monkeypatch):
+    # above _INT64_EXACT_MASS pairs, sum r(z)^2 is taken over Python ints;
+    # with the bound at 0 every call takes that branch
+    ctx = make_field(*pm)
+    rng = np.random.default_rng(sum(pm))
+    A = S(ctx, rng.integers(1, ctx.q, 60).tolist())
+    B = S(ctx, rng.integers(1, ctx.q, 40).tolist())
+    int64 = {kind: energy(A, B, kind).value for kind in KINDS}
+    monkeypatch.setattr(importlib.import_module("sumprodlab.energy"), "_INT64_EXACT_MASS", 0)
+    for kind in KINDS:
+        value = energy(A, B, kind).value
+        assert type(value) is int and value == int64[kind]
 
 
 def test_energy_extension_field_paths():

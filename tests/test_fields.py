@@ -267,6 +267,36 @@ def test_mul_matches_polynomials_sampled(pm):
     assert [ctx.mul(x, y) for x, y in zip(xs, ys)] == [literal(x, y) for x, y in zip(xs, ys)]
 
 
+def _check_digitwise_add_sub(ctx, xs, ys):
+    """Scalar add, sub, neg and vadd, vsub on the pairs zip(xs, ys), against
+    encode of the digitwise sums and differences of decode."""
+    p = ctx.p
+    digits = {x: ctx.decode(x) for x in {*xs, *ys}}
+    for sign, op, vop in ((1, ctx.add, ctx.vadd), (-1, ctx.sub, ctx.vsub)):
+        want = [ctx.encode([(a + sign * b) % p for a, b in zip(digits[x], digits[y])])
+                for x, y in zip(xs, ys)]
+        assert [op(x, y) for x, y in zip(xs, ys)] == want
+        assert vop(np.asarray(xs), np.asarray(ys)).tolist() == want
+    for x, u in digits.items():
+        assert ctx.neg(x) == ctx.encode([-a % p for a in u])
+
+
+@pytest.mark.parametrize("pm", SMALL_FIELDS, ids=str)
+def test_add_sub_match_digits_exhaustively(pm):
+    ctx = make_field(*pm)
+    _check_digitwise_add_sub(ctx, [x for x in ctx.elements() for _ in ctx.elements()],
+                             list(ctx.elements()) * ctx.q)
+
+
+@pytest.mark.parametrize("pm", [(2, 14), (3, 9), (5, 6), (46337, 2), (2, 31)])
+def test_add_sub_match_digits_sampled(pm):
+    ctx = make_field(*pm)
+    rng = np.random.default_rng(sum(pm))
+    xs = [0, 1, ctx.q - 1] + rng.integers(0, ctx.q, 2000).tolist()
+    ys = [ctx.q - 1, ctx.q - 1, ctx.q - 1] + rng.integers(0, ctx.q, 2000).tolist()
+    _check_digitwise_add_sub(ctx, xs, ys)
+
+
 @pytest.mark.parametrize("pm", [(2, 2), (2, 7), (2, 14), (3, 9), (5, 6), (7, 4), (13, 3)])
 def test_vmul_matches_scalar_mul(pm):
     # high coefficients are folded one at a time; check every shape that

@@ -139,6 +139,7 @@ def test_difference_count_frozen():
     dc = difference_count(g, g, 1)
     assert dc.count == 1
     assert math.isclose(dc.ratio, 1 / 3 ** (26 / 27))
+    assert dc.exponent == 26 / 27
     full = ESet(f7, [1, 2, 3, 4, 5, 6])
     assert difference_count(full, full, 1).count == 5
     ext = make_field(3, 2)
@@ -146,6 +147,7 @@ def test_difference_count_frozen():
     dce = difference_count(units, units, 1)
     assert dce.count == 1
     assert math.isclose(dce.ratio, 1 / 2 ** (559 / 560))
+    assert dce.exponent == 559 / 560
 
 
 def test_difference_count_validation():
