@@ -11,18 +11,24 @@ substitution): each code's digits are spread into s-bit lanes with
 s = bit_length((2m - 1)(p - 1)^2), the two ints are multiplied, and each
 high lane folds into the low lanes through a packed row of t^k mod the
 modulus.  No lane ever carries into the next, so the low lanes read off
-mod p give the product's code.  The array operations (vmul) work digit by
-digit instead and share no code with it.  vtrace(x, a) gives Tr(a * x)
-from the digits of x against the form (Tr(a * t^i))_{i<m}, since the
-trace is linear over GF(p), so it needs no array multiplication.
+mod p give the product's code.  The array operations work digit by digit
+instead and share no code with it: vmul splits both code arrays into
+base-p digit rows, takes their product in digit form (_digit_product,
+the one array multiplication kernel, which also serves gauss's power
+tables) and packs the rows back into codes.  A square through that
+kernel forms each cross term once.  vtrace(x, a) gives Tr(a * x) from the
+digits of x against the form (Tr(a * t^i))_{i<m}, since the trace is
+linear over GF(p), so it needs no array multiplication.
 
 Scalar add and sub in GF(p^m), m > 1, share one base-p digit loop, as
 vadd and vsub share one digit pass; neg(x) is sub(0, x).
 
-Field contexts are immutable after construction.  Every per-field table
-lives on the Field as a write-once cache, computed on first use and handed
-out read-only.  The generator (which generator() returns), the trace basis
-and the p-th roots of unity are functools.cached_property values; the
+Field contexts are immutable after construction and have no instance
+__dict__ (__slots__), so attribute loads cost the same before and after a
+lazy table is built.  Every per-field table lives on the Field as a
+write-once cache, computed on first use and handed out read-only.  The
+generator (which generator() returns), the trace basis and the p-th roots
+of unity each sit in a slot that stays unset until first read; the
 subfields sit in a dict keyed by nu.  Recomputing one in a race is
 idempotent, so contexts may be shared between threads.  Powers of an
 element are listed by doubling (powers), after a short scalar run in
@@ -203,6 +209,18 @@ def _index(v):
         return None
 
 
+def _mod(a, p):
+    """a mod p for an int64 array, reduced in place, or a numpy integer.
+
+    numpy divides by a scalar with a multiply and a shift, which is several
+    times cheaper than its remainder, so this takes a - (a // p) * p.
+    """
+    q = a // p
+    q *= p
+    a -= q
+    return a
+
+
 def _read_only(a):
     a.flags.writeable = False
     return a
@@ -210,6 +228,13 @@ def _read_only(a):
 
 class Field:
     """A finite field GF(p^m) whose elements are integer codes in [0, q)."""
+
+    # No instance __dict__: attribute loads stay fast after the lazy tables
+    # are built.  The last three are write-once: unset until first read.
+    __slots__ = ("p", "m", "q", "modulus", "width", "_red", "_place", "_lane",
+                 "_lane_mask", "_low_mask", "_low_bits", "_lane_shifts", "_red_lanes",
+                 "_chunk_base", "_chunk_bits", "_spread_table", "_subfields",
+                 "_generator", "_tr_basis", "_roots")
 
     def __init__(self, p: int, m: int = 1):
         given_p, given_m = p, m
@@ -429,11 +454,13 @@ class Field:
     # code array of the broadcast shape.
 
     def _digits(self, x):
-        """The m base-p digits of x, lowest first, by m - 1 divmods."""
+        """The m base-p digits of x, lowest first, by m - 1 divisions (new arrays for m > 1)."""
+        p = self.p
         digits = []
         for _ in range(self.m - 1):
-            x, d = np.divmod(x, self.p)
-            digits.append(d)
+            quotient = x // p
+            digits.append(x - quotient * p)
+            x = quotient
         digits.append(x)
         return digits
 
@@ -442,11 +469,10 @@ class Field:
         x = np.asarray(x, dtype=np.int64)
         y = np.asarray(y, dtype=np.int64)
         if self.m == 1:
-            return op(x, y) % p
+            return _mod(op(x, y), p)
         out = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=np.int64)
         for w, dx, dy in zip(self._place, self._digits(x), self._digits(y)):
-            d = op(dx, dy)
-            d %= p
+            d = _mod(op(dx, dy), p)
             d *= w
             out += d
         return out
@@ -460,35 +486,69 @@ class Field:
         return self._digitwise(x, y, np.subtract)
 
     def vmul(self, x, y):
-        """Elementwise x * y over code arrays: digit convolution, then reduction.
-
-        The m low coefficients (degree < m) accumulate in place; each high
-        coefficient k >= m is built alone, reduced mod p and folded into the
-        low ones through t^k mod modulus.  A low coefficient is at most
-        (2m - 1)(p - 1)^2 < 2^37, so int64 holds every value exactly.
-        """
-        p, m = self.p, self.m
+        """Elementwise x * y over code arrays: digits, digit product, codes."""
         x = np.asarray(x, dtype=np.int64)
         y = np.asarray(y, dtype=np.int64)
-        if m == 1:
-            return x * y % p
-        dx, dy = self._digits(x), self._digits(y)
-        low = np.zeros((m,) + np.broadcast_shapes(x.shape, y.shape), dtype=np.int64)
-        for i in range(m):
-            for j in range(m - i):
-                low[i + j] += dx[i] * dy[j]
+        return self._pack(self._digit_product(self._digits(x), self._digits(y)))
+
+    def _digit_product(self, dx, dy):
+        """The m digit rows (each < p, lowest first) of x * y, from those of x and y.
+
+        Coefficient k of the product polynomial is the sum of dx[i] * dy[k - i].
+        The m low ones (k < m) are kept; each high one (k >= m) is built
+        alone and folded, unreduced, into the low ones through t^k mod
+        modulus (an entry p - 1 is a subtraction, an entry 1 an addition),
+        and the low ones are reduced mod p once at the end.  Given the same
+        list twice (dx is dy) it squares: each cross term dx[i] * dx[j],
+        i < j, is formed once and doubled, so a square costs m(m + 1)/2
+        digit products instead of m^2.  A high coefficient is at most
+        (m - 1)(p - 1)^2, so a low one stays below
+        m(p - 1)^2 + (m - 1)^2 (p - 1)^3 < 2^47 in absolute value for every
+        q <= 2^31 with m > 1, and below 2^62 for m = 1: int64 holds every
+        value exactly.  The rows are new arrays; m = 1 is the same loop
+        with the codes as the one digit.
+        """
+        p, m = self.p, self.m
+        square = dx is dy
+
+        def coefficient(k):
+            lo = max(0, k - m + 1)
+            if not square:
+                c = dx[lo] * dy[k - lo]
+                for i in range(lo + 1, min(k, m - 1) + 1):
+                    c += dx[i] * dy[k - i]
+                return c
+            half = (k + 1) // 2  # the cross terms i < k - i
+            if half == lo:  # k = 0 or 2m - 2: one square term alone
+                return dx[lo] * dx[lo]
+            c = dx[lo] * dx[k - lo]
+            for i in range(lo + 1, half):
+                c += dx[i] * dx[k - i]
+            c += c
+            if k % 2 == 0:
+                c += dx[half] * dx[half]
+            return c
+
+        low = [coefficient(k) for k in range(m)]
         for k in range(2 * m - 2, m - 1, -1):
-            high = dx[k - m + 1] * dy[m - 1]
-            for i in range(k - m + 2, m):
-                high += dx[i] * dy[k - i]
-            high %= p
+            high = coefficient(k)
             for i, r in enumerate(self._red[k - m]):
-                if r:
+                if r == 1:
+                    low[i] += high
+                elif r == p - 1:
+                    low[i] -= high
+                elif r:
                     low[i] += high * r
-        out = low[m - 1] % p
-        for i in range(m - 2, -1, -1):
-            out *= p
-            out += low[i] % p
+        for i in range(m):
+            low[i] = _mod(low[i], p)
+        return low
+
+    def _pack(self, rows):
+        """The codes whose base-p digits, lowest first, are rows, built in rows[-1]."""
+        out = rows[-1]
+        for d in rows[-2::-1]:
+            out *= self.p
+            out += d
         return out
 
     def vtrace(self, x, a=1):
@@ -504,9 +564,7 @@ class Field:
         self.check(a)
         p = self.p
         if self.m == 1:
-            out = np.multiply(x, a, dtype=np.int64)
-            out %= p
-            return out
+            return _mod(np.multiply(x, a, dtype=np.int64), p)
         x = np.asarray(x, dtype=np.int64)
         form = [self.trace(self.mul(a, w)) for w in self._place]
         out = np.zeros(x.shape, dtype=np.int64)
@@ -514,8 +572,7 @@ class Field:
             if c:
                 d *= c
                 out += d
-        out %= p
-        return out
+        return _mod(out, p)
 
     def powers(self, h, count):
         """h^0, ..., h^(count-1) as an int64 array, by doubling.
@@ -546,9 +603,12 @@ class Field:
 
     # -- structure ------------------------------------------------------------
 
-    @functools.cached_property
     def _trace_basis(self):
         """Tr(t^i) for i < m, built once through scalar Frobenius powers."""
+        try:
+            return self._tr_basis
+        except AttributeError:
+            pass
         tb = []
         for i in range(self.m):
             z = self.p ** i
@@ -560,7 +620,8 @@ class Field:
             if acc >= self.p:
                 raise RuntimeError("trace left the prime subfield; modulus arithmetic is broken")
             tb.append(acc)
-        return tuple(tb)
+        self._tr_basis = tuple(tb)
+        return self._tr_basis
 
     def trace(self, x):
         """Trace down to the prime field: x + x^p + ... + x^(p^(m-1)), as a code < p.
@@ -571,7 +632,7 @@ class Field:
         self.check(x)
         if self.m == 1:
             return x
-        tb = self._trace_basis
+        tb = self._trace_basis()
         p = self.p
         total = 0
         i = 0
@@ -581,11 +642,16 @@ class Field:
             i += 1
         return total % p
 
-    @functools.cached_property
+    @property
     def roots(self):
-        """Read-only complex array of exp(2*pi*i * k / p) for k < p."""
+        """Read-only complex array of exp(2*pi*i * k / p) for k < p (cached)."""
+        try:
+            return self._roots
+        except AttributeError:
+            pass
         ang = 2.0 * np.pi * np.arange(self.p) / self.p
-        return _read_only(np.cos(ang) + 1j * np.sin(ang))
+        self._roots = _read_only(np.cos(ang) + 1j * np.sin(ang))
+        return self._roots
 
     def additive_char(self, a, x) -> complex:
         """exp(2*pi*i * Tr(a*x) / p), a unit-modulus complex number.
@@ -598,16 +664,17 @@ class Field:
 
     def generator(self):
         """Smallest-code element of multiplicative order q - 1 (cached)."""
-        # a plain method, not the cached_property itself: perfbench's tracer
-        # times it as a span by wrapping the function in the class __dict__
-        return self._generator
-
-    @functools.cached_property
-    def _generator(self):
+        # a plain method: perfbench's tracer times it as a span by wrapping
+        # the function in the class __dict__
+        try:
+            return self._generator
+        except AttributeError:
+            pass
         n = self.q - 1
         checks = [n // ell for ell, _ in factorize(n)] if n > 1 else []
         for cand in range(1, self.q):
             if all(self.pow(cand, e) != 1 for e in checks):
+                self._generator = cand
                 return cand
         raise RuntimeError("no generator found")  # pragma: no cover - the group is cyclic
 

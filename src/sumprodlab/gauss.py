@@ -2,17 +2,19 @@
 classical/energy-based magnitude bounds.
 
 The direct path evaluates sum over x of psi_a(x^n) literally: a power table
-x -> x^n built by square-and-multiply (vectorized polynomial arithmetic, no
-generator or discrete-log shortcuts), then the trace Tr(a * y) of every
-entry y, read off y's digits against the form (Tr(a * t^i))_{i<m}
-(Field.vtrace), so a character pays no array multiplication.  The
-subgroup path uses the exact decomposition S_n(a) = 1 + n * S(a, G_n) for
-n | q - 1.  The two are computed independently and must agree exactly, in
-integers: x -> x^n sends 0 to 0 and the units n-to-1 onto G_n, so the
-traces Tr(a * x^n) over all x are n copies of the traces over a*G_n plus
-one 0, count for count.  Weil's bound and Konyagin's energy bound are exact
-theorems and are asserted (plus 1e-6 rounding slack), while the
-power-saving comparison bound is report-only.
+x -> x^n built by square-and-multiply on the base-p digit rows of the codes
+(Field._digit_product, the kernel behind vmul, whose squares form each
+cross term once; no generator or discrete-log shortcuts), then the trace
+Tr(a * y) of every entry y, read off y's digits against the form
+(Tr(a * t^i))_{i<m} (Field.vtrace), so a character pays no array
+multiplication.  The subgroup path uses the exact decomposition
+S_n(a) = 1 + n * S(a, G_n) for n | q - 1.  The two are computed
+independently and must agree exactly, in integers: x -> x^n sends 0 to 0
+and the units n-to-1 onto G_n, so the traces Tr(a * x^n) over all x are n
+copies of the traces over a*G_n plus one 0, count for count.  Weil's
+bound and Konyagin's energy bound are exact theorems and are asserted
+(plus 1e-6 rounding slack), while the power-saving comparison bound is
+report-only.
 
 G_n, its codes and E+(G_n) depend on (field, n) alone, so the last such
 table is kept and every character a of that (field, n) shares it.
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, factorize
+from .fields import _BLOCK, Field, factorize
 from .sets import ESet
 from .subgroups import SubgroupInfo, nth_power_subgroup, subgroup_additive_energy
 
@@ -46,15 +48,29 @@ GAUSS_CSV_HEADER = ("q", "p", "m", "n", "a", "re", "im", "abs", "weil",
 
 
 def _vpow(ctx: Field, base, e: int):
-    """base**e elementwise by square-and-multiply; base is left untouched."""
-    result = np.ones(ctx.q, dtype=np.int64)
-    while e:
-        if e & 1:
-            result = ctx.vmul(result, base)
-        e >>= 1
-        if e:
-            base = ctx.vmul(base, base)
-    return result
+    """base**e elementwise for e >= 1, as an int32 code array; base is left untouched.
+
+    Left-to-right square-and-multiply on base-p digit rows: each block of
+    about _BLOCK / width codes is split into digits once, squared and
+    multiplied by its own digits through Field._digit_product, and packed
+    once.  The result starts at the leading bit of e, so e costs
+    bit_length(e) - 1 squarings and popcount(e) - 1 multiplications,
+    none by one.  int32 holds every code, as q <= 2^31.
+    """
+    if e < 1:
+        raise ValueError(f"exponent must be a positive integer, got {e!r}")
+    bits = bin(e)[3:]
+    out = np.empty(len(base), dtype=np.int32)
+    rows = max(1, _BLOCK // ctx.width)
+    for i in range(0, len(base), rows):
+        digits = ctx._digits(np.asarray(base[i:i + rows], dtype=np.int64))
+        power = digits
+        for bit in bits:
+            power = ctx._digit_product(power, power)
+            if bit == "1":
+                power = ctx._digit_product(power, digits)
+        out[i:i + rows] = ctx._pack(power)
+    return out
 
 
 @functools.lru_cache(maxsize=16)
@@ -62,15 +78,17 @@ def _power_table(ctx: Field, n: int):
     """Read-only int32 array y with y[x] = x**n for every code x, by square-and-multiply.
 
     int32 holds every code below MAX_DIRECT_Q and halves the cached bytes;
-    the array operations that read the table cast it to int64.
+    the array operations that read the table cast it to int64.  _vpow
+    builds it on base-p digit rows, block by block, so a table costs one
+    digit split and one pack per block, whatever n.
 
     For n > 1 dividing q - 1, the table is that of n / ell raised to the
     power ell, for the smallest prime ell of q - 1 dividing n; the table of
     n / ell comes from this cache, or is chained the same way.  A scan over
-    the divisors of q - 1 in ascending order so pays about 2 log2(ell)
-    array multiplications per table instead of 2 log2(n).  ell is taken
-    from factorize(q - 1), never from factorize(n); other n are built from
-    the codes directly, so chains are at most log2(q) long.
+    the divisors of q - 1 in ascending order so pays at most log2(ell)
+    squarings and as many multiplications per table, against about log2(n)
+    of each from the codes.  ell is taken from factorize(q - 1), never from factorize(n); other n
+    are built from the codes directly, so chains are at most log2(q) long.
 
     Deliberately not gpow[n * dlog(x)]: the subgroup side of the check
     S_n = 1 + n * S(a, G_n) is built from the generator powers, so a wrong
@@ -81,7 +99,6 @@ def _power_table(ctx: Field, n: int):
         result = _vpow(ctx, _power_table(ctx, n // ell), ell)
     else:
         result = _vpow(ctx, np.arange(ctx.q, dtype=np.int64), n)
-    result = result.astype(np.int32)
     result.flags.writeable = False
     return result
 

@@ -312,6 +312,47 @@ def test_vmul_matches_scalar_mul(pm):
     assert ctx.vmul(xs[:8], ys).tolist() == [ctx.mul(int(a), int(b)) for a, b in zip(xs, ys)]
 
 
+@pytest.mark.parametrize("pm", [(2, 14), (3, 9), (5, 6), (7, 4), (46337, 2), (2, 31),
+                                (2 ** 31 - 1, 1)])
+def test_digit_product_square_matches_general(pm):
+    # the square path (dx is dy) forms each cross term once and doubles it;
+    # GF(46337^2) has the largest coefficients, GF(2^31) the most digits,
+    # and GF(2^31 - 1) products up to (p - 1)^2 in the one digit
+    ctx = make_field(*pm)
+    rng = np.random.default_rng(sum(pm))
+    xs = np.concatenate([[0, 1, ctx.q - 1], rng.integers(0, ctx.q, 2000)])
+    ys = np.concatenate([[ctx.q - 1, ctx.q - 1, ctx.q - 1], rng.integers(0, ctx.q, 2000)])
+    dx = ctx._digits(xs)
+    square = ctx._digit_product(dx, dx)
+    general = ctx._digit_product(dx, [d.copy() for d in dx])
+    assert len(square) == ctx.m
+    for s, g in zip(square, general):
+        assert np.array_equal(s, g) and s.min() >= 0 and s.max() < ctx.p
+    assert np.array_equal(ctx._pack(square), ctx.vmul(xs, xs))
+    assert ctx.vmul(xs, xs).tolist() == [ctx.mul(x, x) for x in xs.tolist()]
+    assert ctx.vmul(xs, ys).tolist() == [ctx.mul(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+    assert np.array_equal(ctx._digits(xs)[0], dx[0])  # the inputs are not written
+
+
+def test_mod_takes_the_floor_remainder():
+    xs = np.array([-7, -3, -1, 0, 1, 5, 2 ** 46 + 1], dtype=np.int64)
+    assert fields._mod(xs.copy(), 3).tolist() == (xs % 3).tolist()
+    assert fields._mod(np.int64(-7), 3) == 2
+
+
+def test_field_has_no_instance_dict():
+    # lazy tables live in write-once slots, so they never add a __dict__
+    # that would slow every later attribute load
+    for ctx in (Field(13), Field(3, 4)):
+        g = ctx.generator()
+        assert ctx.generator() == g and ctx.trace(ctx.q - 1) < ctx.p
+        roots = ctx.roots
+        assert ctx.roots is roots and not roots.flags.writeable
+        assert not hasattr(ctx, "__dict__")
+        with pytest.raises(AttributeError):
+            ctx.cache = {}
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(FIELD_POOL), st.data())
 def test_field_axioms(pm, data):

@@ -158,6 +158,45 @@ def test_chained_power_tables(pm, monkeypatch):
     gauss._power_table.cache_clear()
 
 
+@pytest.mark.parametrize("pm", [(8191, 1), (3, 4), (2, 6), (5, 2), (3, 9)])
+def test_vpow_matches_scalar_pow(pm):
+    ctx = make_field(*pm)
+    codes = np.arange(ctx.q, dtype=np.int64)
+    if ctx.q > 10 ** 4:
+        codes = np.random.default_rng(ctx.q).integers(0, ctx.q, 2000)
+    for e in (1, 2, 3, 4, 71, ctx.q - 2):
+        got = gauss._vpow(ctx, codes, e)
+        assert got.dtype == np.int32
+        assert got.tolist() == [ctx.pow(x, e) for x in codes.tolist()]
+    with pytest.raises(ValueError, match="positive"):
+        gauss._vpow(ctx, codes, 0)
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_vpow_squares_and_multiplies_without_one(block, monkeypatch):
+    # left to right from the leading bit: bit_length(e) - 1 squarings and
+    # popcount(e) - 1 multiplications per block, none by one
+    ctx = make_field(3, 4)
+    if block:
+        monkeypatch.setattr(gauss, "_BLOCK", block * ctx.width)
+    blocks = -(-ctx.q // block) if block else 1
+    calls = []
+    real = Field._digit_product
+
+    def spy(self, dx, dy):
+        calls.append(dx is dy)
+        return real(self, dx, dy)
+
+    monkeypatch.setattr(Field, "_digit_product", spy)
+    codes = np.arange(ctx.q, dtype=np.int64)
+    for e in (1, 2, 5, 71, 80, 2 ** 7 - 1):
+        calls.clear()
+        got = gauss._vpow(ctx, codes, e)
+        assert got.tolist() == [ctx.pow(x, e) for x in range(ctx.q)]
+        assert calls.count(True) == blocks * (e.bit_length() - 1)
+        assert calls.count(False) == blocks * (bin(e).count("1") - 1)
+
+
 def test_large_prime_power_index_is_quick(monkeypatch):
     # a large prime n is never factored (trial division would take sqrt(n) steps)
     ctx = make_field(8191)
@@ -207,19 +246,25 @@ def test_subgroup_table_shared_across_characters(monkeypatch):
 @pytest.mark.parametrize("pm, n", [((8191, 1), 3), ((3, 4), 4), ((2, 6), 9), ((7, 4), 2400)])
 def test_second_character_pays_no_vmul(pm, n, monkeypatch):
     # once a (field, n) is built, a character evaluates through the trace
-    # form: no array multiplication per a
+    # form: no array multiplication per a, neither through vmul nor through
+    # the digit product that builds the power tables
     ctx = make_field(*pm)
     gauss._power_table.cache_clear()
     gauss._subgroup_table.cache_clear()
     first = gauss_bounds_report(ctx, n, 1)
     calls = []
-    real = Field.vmul
+    for name in ("vmul", "_digit_product"):
+        real = getattr(Field, name)
 
-    def counting(self, x, y):
-        calls.append(1)
-        return real(self, x, y)
+        def counting(self, x, y, real=real, name=name):
+            calls.append(name)
+            return real(self, x, y)
 
-    monkeypatch.setattr(Field, "vmul", counting)
+        monkeypatch.setattr(Field, name, counting)
+    gauss._power_table.cache_clear()
+    gauss_sum(ctx, n, 1)
+    assert "_digit_product" in calls  # the spy sees a table rebuild
+    calls.clear()
     for a in (2, ctx.q - 1):
         rep = gauss_bounds_report(ctx, n, a)
         assert rep.group_energy == first.group_energy
