@@ -17,8 +17,9 @@ base-p digit rows, takes their product in digit form (_digit_product,
 the one array multiplication kernel, which also serves gauss's power
 tables) and packs the rows back into codes.  A square through that
 kernel forms each cross term once.  vtrace(x, a) gives Tr(a * x) from the
-digits of x against the form (Tr(a * t^i))_{i<m}, since the trace is
-linear over GF(p), so it needs no array multiplication.
+quotients x // p^i, each its digit mod p, against the form
+(Tr(a * t^i))_{i<m}, since the trace is linear over GF(p), so it needs no
+array multiplication.
 
 Scalar add and sub in GF(p^m), m > 1, share one base-p digit loop, as
 vadd and vsub share one digit pass; neg(x) is sub(0, x).
@@ -551,28 +552,34 @@ class Field:
             out += d
         return out
 
-    def vtrace(self, x, a=1):
+    def trace_form(self, a=1):
+        """(Tr(a * t^i))_{i<m} as codes < p: m scalar products and traces, or (a,) for m = 1."""
+        self.check(a)
+        if self.m == 1:
+            return (a,)
+        return tuple(self.trace(self.mul(a, w)) for w in self._place)
+
+    def vtrace(self, x, a=1, form=None):
         """Elementwise Tr(a * x) down to the prime field, as codes < p.
 
         Tr is linear over the prime field (Lidl-Niederreiter, Finite Fields,
         Thm 2.23), so Tr(a * x) = sum_i x_i * Tr(a * t^i) over the digits x_i
-        of x: the form (Tr(a * t^i))_{i<m} takes m scalar products, and x
-        pays one digit pass against it, with no array multiplication.  For
-        m = 1 it is a * x mod p, multiplied into int64 directly, so an int32
-        input (gauss's power tables) is not first copied to int64.
+        of x; form is trace_form(a), passed in to read several arrays against
+        one form.  x // p^i is x_i plus a multiple of p, so each term is one
+        division and one product, and one quotient and the sum (< p * q) are
+        alive at a time, whatever m.  The ufuncs cast x to int64 as they
+        read it, so an int32 input (gauss's power tables) is not copied.
         """
-        self.check(a)
-        p = self.p
-        if self.m == 1:
-            return _mod(np.multiply(x, a, dtype=np.int64), p)
-        x = np.asarray(x, dtype=np.int64)
-        form = [self.trace(self.mul(a, w)) for w in self._place]
-        out = np.zeros(x.shape, dtype=np.int64)
-        for d, c in zip(self._digits(x), form):
+        if form is None:
+            form = self.trace_form(a)
+        out = np.multiply(x, form[0], dtype=np.int64)
+        for c, w in zip(form[1:], self._place[1:]):
             if c:
-                d *= c
-                out += d
-        return _mod(out, p)
+                quotient = np.floor_divide(x, w, dtype=np.int64)
+                quotient *= c
+                out += quotient
+                del quotient  # freed before the next one is made
+        return _mod(out, self.p)
 
     def powers(self, h, count):
         """h^0, ..., h^(count-1) as an int64 array, by doubling.

@@ -7,7 +7,8 @@ x -> x^n built by square-and-multiply on the base-p digit rows of the codes
 cross term once; no generator or discrete-log shortcuts), then the trace
 Tr(a * y) of every entry y, read off y's digits against the form
 (Tr(a * t^i))_{i<m} (Field.vtrace), so a character pays no array
-multiplication.  The subgroup path uses the exact decomposition
+multiplication; the form is built once per character and read by both
+evaluations.  The subgroup path uses the exact decomposition
 S_n(a) = 1 + n * S(a, G_n) for n | q - 1.  The two are computed
 independently and must agree exactly, in integers: x -> x^n sends 0 to 0
 and the units n-to-1 onto G_n, so the traces Tr(a * x^n) over all x are n
@@ -123,9 +124,9 @@ def _subgroup_table(ctx: Field, n: int) -> _SubgroupTable:
     return _SubgroupTable(ctx, n)
 
 
-def _char_sum_over_codes(ctx, a, codes):
-    """(sum of psi_a over codes, the traces Tr(a * code) it summed)."""
-    tr = ctx.vtrace(codes, a)
+def _char_sum_over_codes(ctx, form, codes):
+    """(sum of psi_a over codes, the traces Tr(a * code) it summed), form = ctx.trace_form(a)."""
+    tr = ctx.vtrace(codes, form=form)
     return complex(np.sum(ctx.roots[tr])), tr
 
 
@@ -135,8 +136,9 @@ def _evaluate(ctx, n, a):
     Tr(a * x^n) over all x must count n times Tr(a * G_n), plus one 0 for
     x = 0, trace for trace; otherwise this raises RuntimeError.
     """
-    ssum, subgroup_traces = _char_sum_over_codes(ctx, a, _subgroup_table(ctx, n).codes)
-    direct, direct_traces = _char_sum_over_codes(ctx, a, _power_table(ctx, n))
+    form = ctx.trace_form(a)
+    ssum, subgroup_traces = _char_sum_over_codes(ctx, form, _subgroup_table(ctx, n).codes)
+    direct, direct_traces = _char_sum_over_codes(ctx, form, _power_table(ctx, n))
     expect = n * np.bincount(subgroup_traces, minlength=ctx.p)
     expect[0] += 1
     if not np.array_equal(np.bincount(direct_traces, minlength=ctx.p), expect):
@@ -159,7 +161,7 @@ def _validate(ctx, n, a, need_divisor):
 def gauss_sum(ctx: Field, n: int, a) -> complex:
     """Direct evaluation of sum over all x of psi_a(x^n)."""
     _validate(ctx, n, a, need_divisor=False)
-    return _char_sum_over_codes(ctx, a, _power_table(ctx, n))[0]
+    return _char_sum_over_codes(ctx, ctx.trace_form(a), _power_table(ctx, n))[0]
 
 
 def subgroup_character_sum(ctx: Field, G, a) -> complex:
@@ -170,7 +172,8 @@ def subgroup_character_sum(ctx: Field, G, a) -> complex:
     ctx.check(a)
     if a == 0:
         raise ValueError("character index a must be nonzero")
-    return _char_sum_over_codes(ctx, a, np.asarray(elements.codes, dtype=np.int64))[0]
+    codes = np.asarray(elements.codes, dtype=np.int64)
+    return _char_sum_over_codes(ctx, ctx.trace_form(a), codes)[0]
 
 
 def gauss_sum_by_subgroup(ctx: Field, n: int, a) -> complex:

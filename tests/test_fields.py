@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,7 @@ def test_trace_form_exhaustive(pm):
         assert got.dtype == np.int64
         assert np.array_equal(got, ctx.vtrace(ctx.vmul(a, xs)))
         assert got.tolist() == [ctx.trace(ctx.mul(a, x)) for x in range(ctx.q)]
+        assert np.array_equal(ctx.vtrace(xs, form=ctx.trace_form(a)), got)
 
 
 @pytest.mark.parametrize("pm", [(2, 14), (3, 9), (5, 6), (8191, 1), (999983, 1)])
@@ -186,6 +188,24 @@ def test_trace_form_sampled(pm):
     assert ctx.vtrace(xs.astype(np.int32), 5).tolist() == ctx.vtrace(xs, 5).tolist()
     with pytest.raises(ValueError):
         ctx.vtrace(xs, ctx.q)
+
+
+def test_vtrace_memory_stays_below_four_arrays():
+    # one quotient and the sum are alive at a time, not the m digit arrays
+    # (the sum's reduction mod p adds one more array, after the quotients)
+    ctx = make_field(3, 10)
+    xs = np.arange(ctx.q, dtype=np.int64)
+    expect = [ctx.trace(ctx.mul(7, int(x))) for x in xs[::97]]
+    form = ctx.trace_form(7)
+    assert ctx.m == 10 and sum(c != 0 for c in form) >= 4  # several digit passes
+    tracemalloc.start()
+    try:
+        got = ctx.vtrace(xs, form=form)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got[::97].tolist() == expect
+    assert peak < 3 * xs.nbytes
 
 
 def test_additive_char():

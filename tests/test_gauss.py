@@ -275,6 +275,30 @@ def test_second_character_pays_no_vmul(pm, n, monkeypatch):
     gauss._subgroup_table.cache_clear()
 
 
+def test_report_builds_one_trace_form(monkeypatch):
+    # the subgroup codes and the power table are read against one form:
+    # m scalar products per character, not one form per array
+    ctx = make_field(3, 5)
+    gauss._power_table.cache_clear()
+    gauss._subgroup_table.cache_clear()
+    gauss_bounds_report(ctx, 2, 1)  # builds and keeps the (field, n) tables
+    products = []
+    real = Field.mul
+
+    def counting(self, x, y):
+        products.append((x, y))
+        return real(self, x, y)
+
+    monkeypatch.setattr(Field, "mul", counting)
+    for a in (2, ctx.q - 1):
+        products.clear()
+        rep = gauss_bounds_report(ctx, 2, a)
+        assert products == [(a, ctx.p ** i) for i in range(ctx.m)]
+        assert rep.value == gauss_sum(ctx, 2, a)
+    gauss._power_table.cache_clear()
+    gauss._subgroup_table.cache_clear()
+
+
 @pytest.mark.parametrize("pm, n", [((13, 1), 3), ((3, 4), 4), ((2, 6), 9)])
 def test_perturbed_power_table_raises(pm, n, monkeypatch):
     ctx = make_field(*pm)
