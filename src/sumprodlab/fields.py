@@ -49,7 +49,7 @@ __all__ = ["Field", "make_field", "is_prime", "factorize", "divisors", "MAX_ORDE
            "TABLE_LIMIT"]
 
 MAX_ORDER = 2 ** 31  # keeps every count downstream inside exact 64-bit integer range
-TABLE_LIMIT = 1 << 22  # longest q-length int64 array: the dense pair bincount
+TABLE_LIMIT = 1 << 22  # longest q-length int64 array: the dense pair count's q counts
 _BLOCK = 1 << 20       # elements per block of an array operation, divided by Field.width
 _SCALAR_RUN = 128      # powers listed by scalar mul before doubling starts, m > 1
 

@@ -9,13 +9,13 @@ and require both operands to live in the same field.
 
 Set operations and energies rest on one pair count, _pair_counts, with
 four exact paths: prime-field sums and differences that split into two or
-more tiles count tile by tile into cache-sized windows, with no modulo per
-pair; sums and differences of large sets in GF(p^m), m > 1, multiply
-transforms over the group Z_p^m; every other count, products and sums
-alike, merges sorted blocks in fields above 2^22 and when its pairs are few
-against q, and bincounts over all q codes otherwise.  Prime fields have no
-FFT path, because a transform over a field near 10^6 needs more memory than
-the exact counts.
+more tiles add each pair of tiles' local sums into one count array at the
+tiles' offset, with no modulo per pair; sums and differences of large sets
+in GF(p^m), m > 1, multiply transforms over the group Z_p^m; every other
+count, products and sums alike, merges sorted blocks in fields above 2^22
+and when its pairs are few against q, and adds its blocks into q counts in
+place otherwise.  Prime fields have no FFT path, because a transform over a
+field near 10^6 needs more memory than the exact counts.
 Membership counts over many dilates (coset scans, triple covers) are row
 sums of np.isin over blocks of products, in _row_hits.
 """
@@ -30,16 +30,24 @@ import numpy as np
 
 from .fields import _BLOCK, TABLE_LIMIT, Field, _index
 
-_TILE = 1 << 16  # prime-field sum/difference tiles: narrowest width, fewest mean pairs
+# Prime-field sum/difference tiles: the narrowest width and the fewest mean
+# pairs per pair of tiles.  Measured on a 2-vCPU Xeon in GF(1000003): halving
+# it (nb up to 31) left sweep_prime's speed within its noise, but E+(XX) at
+# |X| = 77,136 went from 5.0 s to 6.1 s, because numpy's broadcast sum
+# x[:, None] + y costs about 0.75 ns per pair for rows shorter than ~2,700
+# and 0.35 ns above.
+_TILE = 1 << 16
 # The Z_p^m transform counts sums and differences once the broadcast's
 # |X||Y|*width exceeds this many times m*p*q: measured on a 2-vCPU Xeon, a
 # broadcast pair costs 0.7-0.9 ns per unit of width, and the three transforms
 # 6-18 ns per m*p*q for q from 512 to 19683 (the most in the smallest fields).
 _TRANSFORM_RATIO = 16
-# Pairs that no kernel above takes go to a sorted merge instead of a bincount
-# over all q codes once q > _MERGE_BASE + _MERGE_RATIO * |X||Y|.  Measured on
-# a 2-vCPU Xeon beside the op itself: the dense count costs about 5 us plus
-# 3-7 ns per code, the merge about 19 us plus 30-40 ns per pair.
+# Pairs that no kernel above takes go to a sorted merge instead of the dense
+# count over all q codes once q > _MERGE_BASE + _MERGE_RATIO * |X||Y|.
+# Measured on a 2-vCPU Xeon beside the op itself: the merge costs about 19 us
+# plus 30-40 ns per pair; the dense count cost 5 us plus 3-7 ns per code as a
+# bincount, and 1.5-1.7 ns per code since it adds in place (q from 2^16 to
+# 2^22), so this ratio now sends to the merge some counts the dense one wins.
 _MERGE_BASE = 4096
 _MERGE_RATIO = 8
 
@@ -148,15 +156,15 @@ def _tiled_counts(p: int, xs, ys, nb: int, negate: bool, same: bool):
     """Counts over Z_p of x + y, or of x - y when negate, for xs, ys in [0, p).
 
     [0, p) is cut into nb >= 2 intervals of width w.  A pair of intervals
-    (a, b) bincounts its local sums (x - aw) + (y - bw), or its local
-    differences (x - aw) + (w - (y - bw)), into a window of 2w <= p + 1
-    codes and adds the window at offset (a + b)w, or (a - b - 1)w, mod p,
-    wrapping past p at most once.  So no pair pays a modulo, and each
-    bincount writes into its window instead of scattering over all p counts.
+    (a, b) adds its local sums (x - aw) + (y - bw), or its local differences
+    (x - aw) + (w - (y - bw)), all below 2w, by np.add.at into a view of one
+    count array of p + 2w codes, at offset (a + b)w, or (a - b - 1)w, mod p.
+    The tail past p is folded into the head once, at the end.  So no pair
+    pays a modulo, and no pair of intervals makes a window of its own.
 
     same says ys holds the same codes as xs.  Sums are then symmetric: the
-    intervals (a, b) and (b, a) give the same window, so only b <= a is
-    visited and the window of b < a is added twice.
+    intervals (a, b) and (b, a) add the same local sums at the same offset,
+    so only b <= a is visited and the pairs of b < a add 2.
     """
     w = -(-p // nb)
     xs = np.sort(xs)
@@ -169,20 +177,20 @@ def _tiled_counts(p: int, xs, ys, nb: int, negate: bool, same: bool):
     symmetric = same and not negate
     if negate:
         yt = [w - y for y in yt]
-    counts = np.zeros(p, dtype=np.int64)
+    ext = np.zeros(p + 2 * w, dtype=np.int64)
     for a, xl in enumerate(xt):
         for b, yl in enumerate(yt[:a + 1] if symmetric else yt):
             if not (xl.size and yl.size):
                 continue
             offset = ((a - b - 1) if negate else (a + b)) * w % p
+            window = ext[offset:offset + 2 * w]
+            step = 2 if symmetric and b < a else 1
             rows = max(1, _BLOCK // yl.size)
             for i in range(0, xl.size, rows):
-                window = np.bincount((xl[i:i + rows, None] + yl).ravel(), minlength=2 * w)
-                if symmetric and b < a:
-                    window *= 2
-                head = min(window.size, p - offset)
-                counts[offset:offset + head] += window[:head]
-                counts[:window.size - head] += window[head:]
+                np.add.at(window, (xl[i:i + rows, None] + yl).ravel(), step)
+    counts = ext[:p]
+    tail = ext[p:2 * p]  # every code is below offset + 2w <= 2p, even where 2w = p + 1
+    counts[:tail.size] += tail
     return counts
 
 
@@ -259,9 +267,10 @@ def _pair_counts(ctx: Field, xs, ys, op):
     - prime fields up to TABLE_LIMIT, vadd and vsub, when [0, p) splits into
       nb = min(ceil(p / _TILE), isqrt(|X||Y| / _TILE)) >= 2 intervals, each
       at least about _TILE wide, with _TILE pairs per pair of intervals on
-      average: _tiled_counts, which needs no modulo per pair (for the sums
-      of a set with itself, passed as the same object, it visits half the
-      tile pairs);
+      average: _tiled_counts, which needs no modulo per pair and adds every
+      pair of intervals straight into one array of p + 2w counts (for the
+      sums of a set with itself, passed as the same object, it visits half
+      the tile pairs);
     - m > 1, vadd and vsub, q*p <= _BLOCK and |X||Y|*width above
       _TRANSFORM_RATIO * m*p*q: _transform_counts over Z_p^m, falling back
       to the two paths below if its rounding is not exact;
@@ -269,11 +278,12 @@ def _pair_counts(ctx: Field, xs, ys, op):
       few pairs against q (q > _MERGE_BASE + _MERGE_RATIO * |X||Y|): blocks
       of pairs go to a sorted merge;
     - otherwise (products, and sums and differences that the kernels above
-      do not take): blocks of op(x, y) go to a bincount over all q codes.
+      do not take): blocks of op(x, y) are added by np.add.at into one array
+      of q counts, so no second q-length array is made.
 
     Prime fields have no FFT path: an rfft/irfft pair of length 2^21 (p near
-    10^6) raised a process's peak memory from 35 MB to 123 MB, while no array
-    of the tiled count is longer than the p counts themselves.
+    10^6) raised a process's peak memory from 35 MB to 123 MB, while the
+    tiled count's one array holds p + 2w counts, 2w = 2 ceil(p / nb).
     """
     xa = np.asarray(xs, dtype=np.int64)
     ya = np.asarray(ys, dtype=np.int64)
@@ -295,7 +305,7 @@ def _pair_counts(ctx: Field, xs, ys, op):
             return values, counts
         counts = np.zeros(ctx.q, dtype=np.int64)
         for z in _op_blocks(ctx, xa, ya, op):
-            counts += np.bincount(z.ravel(), minlength=ctx.q)
+            np.add.at(counts, z.ravel(), 1)
     values = np.flatnonzero(counts)
     return values, counts[values]
 

@@ -142,7 +142,7 @@ def test_few_pairs_merge_condition(pm, side, monkeypatch):
         assert list(difference_set(X, Y).codes) == sorted({ctx.sub(a, b) for a in X for b in Y})
         few = q > sets._MERGE_BASE + sets._MERGE_RATIO * len(X) * len(Y)
         assert bool(merged) == few
-        if side is None:  # fields up to 4096 codes always bincount; larger ones merge these
+        if side is None:  # fields up to 4096 codes always count densely; larger ones merge these
             assert few == (q > 4096)
 
 

@@ -1,5 +1,7 @@
 import math
 import random
+import tracemalloc
+import types
 from collections import Counter
 
 import numpy as np
@@ -120,7 +122,7 @@ def test_extension_field_ops():
 @pytest.mark.parametrize("pm", [(2, 2), (2, 9), (2, 14), (3, 2), (3, 9), (5, 3), (7, 2)])
 def test_extension_sum_and_difference_sets(pm, ratio, monkeypatch):
     # ratio 0 counts every sum and difference by the Z_p^m transform,
-    # infinity by the broadcast bincount
+    # infinity by the broadcast pair count
     monkeypatch.setattr(sets, "_TRANSFORM_RATIO", ratio)
     ctx = F(*pm)
     rng = random.Random(f"sumsets:{pm}")
@@ -171,19 +173,93 @@ def test_symmetric_prime_tiles(tile, monkeypatch):
     assert routes == {True, False}
 
 
+class _RecordAddAt:
+    """Stands in for numpy inside sets: np.add.at records the size of each index array."""
+
+    def __init__(self):
+        self.sizes = []
+        self.add = types.SimpleNamespace(at=self._at)
+
+    def _at(self, counts, index, step):
+        self.sizes.append(index.size)
+        np.add.at(counts, index, step)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
 def test_symmetric_tiles_visit_half_the_pairs(monkeypatch):
     monkeypatch.setattr(sets, "_TILE", 1)
-    bins = []
-    real_bincount = np.bincount
-    monkeypatch.setattr(sets.np, "bincount", lambda z, **kw: bins.append(z.size) or real_bincount(z, **kw))
+    spy = _RecordAddAt()
+    monkeypatch.setattr(sets, "np", spy)
     ctx = F(101)
     X = ESet(ctx, range(0, 101, 3))
     sets._pair_counts(ctx, X.codes, X.codes, Field.vadd)
-    half = sum(bins)
-    del bins[:]
+    half = sum(spy.sizes)
+    del spy.sizes[:]
     sets._pair_counts(ctx, X.codes, tuple(list(X.codes)), Field.vadd)
     n = len(X)
-    assert sum(bins) == n * n and half == n * (n + 1) // 2
+    assert sum(spy.sizes) == n * n and half == n * (n + 1) // 2
+
+
+def _loop_counts(p, xs, ys, negate):
+    pairs = Counter((x - y if negate else x + y) % p for x in xs.tolist() for y in ys.tolist())
+    return [pairs[v] for v in range(p)]
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("nb", [2, 3])
+def test_tiled_counts_every_pair_of_subsets(p, nb):
+    # nb = 2 makes windows of 2w = p + 1 codes, longer than p, so local codes
+    # reach 2p - 1 before the fold; both ops, the same object and a copy
+    subsets = [np.array([c for c in range(p) if bits >> c & 1], dtype=np.int64)
+               for bits in range(1 << p)]
+    assert nb > 2 or 2 * -(-p // nb) == p + 1
+    for xs in subsets:
+        for ys in subsets:
+            for negate in (False, True):
+                got = sets._tiled_counts(p, xs, ys, nb, negate, False)
+                assert got.tolist() == _loop_counts(p, xs, ys, negate)
+        for negate in (False, True):
+            got = sets._tiled_counts(p, xs, xs, nb, negate, True)
+            assert got.tolist() == _loop_counts(p, xs, xs, negate)
+
+
+def test_tiled_counts_memory_stays_below_counts_and_one_block():
+    # one array of p + 2w counts and one block of pairs; no window per pair of tiles
+    p = 1000003
+    rng = np.random.default_rng(7)
+    xs = np.unique(rng.integers(0, p, 3000))
+    nb = min(-(-p // sets._TILE), math.isqrt(xs.size * xs.size // sets._TILE))
+    assert nb >= 2
+    w = -(-p // nb)
+    tracemalloc.start()
+    try:
+        counts = sets._tiled_counts(p, xs, xs, nb, False, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert int(counts.sum()) == xs.size ** 2
+    assert peak < 8 * (p + 2 * w + fields._BLOCK)
+
+
+def test_dense_count_memory_stays_below_two_count_arrays():
+    # blocks of products add into the q counts in place, with no second q-length array
+    ctx = F(1048573)
+    assert ctx.q > 1 << 19 and ctx.q <= fields.TABLE_LIMIT
+    rng = random.Random("dense-memory")
+    xs = rng.sample(range(1, ctx.q), 400)
+    ys = rng.sample(range(1, ctx.q), 400)
+    assert ctx.q <= sets._MERGE_BASE + sets._MERGE_RATIO * len(xs) * len(ys)  # not the merge
+    tracemalloc.start()
+    try:
+        values, counts = sets._pair_counts(ctx, xs, ys, Field.vmul)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert int(counts.sum()) == len(xs) * len(ys)
+    assert values.tolist() == sorted({ctx.mul(x, y) for x in xs for y in ys})
+    assert peak < 2 * 8 * ctx.q
 
 
 def test_mixed_fields_rejected():
