@@ -691,11 +691,11 @@ class Field:
         h = g^((q-1)/t) is a Python int and codes is the int64 array
         h^0, ..., h^(t-1), checked to close (h^t = 1); t must divide q - 1.
         """
-        n = self.q - 1
-        if t < 1 or n % t != 0:
+        n, k = self.q - 1, _index(t)
+        if k is None or k < 1 or n % k != 0:
             raise ValueError(f"{t} does not divide q - 1 = {n}")
-        h = self.pow(self.generator(), n // t)
-        codes = self.powers(h, t)
+        h = self.pow(self.generator(), n // k)
+        codes = self.powers(h, k)
         if self.mul(int(codes[-1]), h) != 1:
             raise RuntimeError("subgroup enumeration did not close")
         return codes, h

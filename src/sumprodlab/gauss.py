@@ -17,8 +17,9 @@ bound and Konyagin's energy bound are exact theorems and are asserted
 (plus 1e-6 rounding slack), while the power-saving comparison bound is
 report-only.
 
-G_n, its codes and E+(G_n) depend on (field, n) alone, so the last such
-table is kept and every character a of that (field, n) shares it.
+The x^n table, G_n's codes and E+(G_n) depend on (field, n) alone: one
+cached entry per (field, n), the 16 most recent kept, serves every character
+a of it.  G_n itself, about 18 MB of Python ints near q = 10^6, is not kept.
 
 Complex accumulation uses numpy's fixed pairwise reduction over element
 codes in increasing order, which is bit-reproducible for a given platform.
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import _BLOCK, Field, factorize
+from .fields import _BLOCK, Field, _index, _read_only, factorize
 from .sets import ESet
 from .subgroups import SubgroupInfo, nth_power_subgroup, subgroup_additive_energy
 
@@ -74,54 +75,52 @@ def _vpow(ctx: Field, base, e: int):
     return out
 
 
-@functools.lru_cache(maxsize=16)
-def _power_table(ctx: Field, n: int):
-    """Read-only int32 array y with y[x] = x**n for every code x, by square-and-multiply.
-
-    int32 holds every code below MAX_DIRECT_Q and halves the cached bytes;
-    the array operations that read the table cast it to int64.  _vpow
-    builds it on base-p digit rows, block by block, so a table costs one
-    digit split and one pack per block, whatever n.
-
-    For n > 1 dividing q - 1, the table is that of n / ell raised to the
-    power ell, for the smallest prime ell of q - 1 dividing n; the table of
-    n / ell comes from this cache, or is chained the same way.  A scan over
-    the divisors of q - 1 in ascending order so pays at most log2(ell)
-    squarings and as many multiplications per table, against about log2(n)
-    of each from the codes.  ell is taken from factorize(q - 1), never from factorize(n); other n
-    are built from the codes directly, so chains are at most log2(q) long.
-
-    Deliberately not gpow[n * dlog(x)]: the subgroup side of the check
-    S_n = 1 + n * S(a, G_n) is built from the generator powers, so a wrong
-    table would then enter both sides and the check would still pass.
-    """
-    if n > 1 and (ctx.q - 1) % n == 0:
-        ell = next(ell for ell, _ in factorize(ctx.q - 1) if n % ell == 0)
-        result = _vpow(ctx, _power_table(ctx, n // ell), ell)
-    else:
-        result = _vpow(ctx, np.arange(ctx.q, dtype=np.int64), n)
-    result.flags.writeable = False
-    return result
-
-
-class _SubgroupTable:
-    """G_n and its codes, and E+(G_n) once first read: what every a of one (field, n) shares."""
+class _Tables:
+    """What every character a of one (field, n) shares, each part built on first read."""
 
     def __init__(self, ctx: Field, n: int):
-        self.G = nth_power_subgroup(ctx, n)
-        self.codes = np.asarray(self.G.elements.codes, dtype=np.int64)
-        self.codes.flags.writeable = False
+        self.ctx, self.n = ctx, n
 
     @functools.cached_property
-    def energy(self) -> int:
-        return subgroup_additive_energy(self.G)
+    def powers(self):
+        """Read-only int32 array y with y[x] = x**n for every code x, by square-and-multiply.
+
+        int32 holds every code below MAX_DIRECT_Q and halves the cached bytes;
+        the array operations that read the table cast it to int64.  _vpow
+        builds it on base-p digit rows, block by block, so a table costs one
+        digit split and one pack per block, whatever n.
+
+        For n > 1 dividing q - 1, the table is that of n / ell raised to the power
+        ell, for the smallest prime ell of q - 1 dividing n; the table of n / ell
+        comes from its own cached entry, or is chained the same way.  A scan over
+        the divisors of q - 1 in ascending order so pays at most log2(ell) squarings
+        and as many multiplications per table, against about log2(n) of each from
+        the codes.  ell is taken from factorize(q - 1), never from factorize(n);
+        other n are built from the codes directly, so chains are at most log2(q) long.
+
+        Deliberately not gpow[n * dlog(x)]: the subgroup side of the check
+        S_n = 1 + n * S(a, G_n) is built from the generator powers, so a wrong
+        table would then enter both sides and the check would still pass.
+        """
+        ctx, n = self.ctx, self.n
+        if n > 1 and (ctx.q - 1) % n == 0:
+            ell = next(ell for ell, _ in factorize(ctx.q - 1) if n % ell == 0)
+            return _read_only(_vpow(ctx, _tables(ctx, n // ell).powers, ell))
+        return _read_only(_vpow(ctx, np.arange(ctx.q, dtype=np.int64), n))
+
+    @functools.cached_property
+    def subgroup(self):
+        """(G_n's read-only, ascending int64 codes, E+(G_n)); the SubgroupInfo is dropped."""
+        G = nth_power_subgroup(self.ctx, self.n)
+        codes = _read_only(np.asarray(G.elements.codes, dtype=np.int64))
+        return codes, subgroup_additive_energy(G)
 
 
-# One table: both callers visit every a of one (field, n) in a row, and
-# G_n of order (q-1)/2 near q = 10^6 holds about 18 MB of Python ints.
-@functools.lru_cache(maxsize=1)
-def _subgroup_table(ctx: Field, n: int) -> _SubgroupTable:
-    return _SubgroupTable(ctx, n)
+# Both reports visit every a of one (field, n) in a row, and a divisor scan chains
+# each x^n table from an earlier entry; kept per Field, the tables would have no bound.
+@functools.lru_cache(maxsize=16)
+def _tables(ctx: Field, n: int) -> _Tables:
+    return _Tables(ctx, n)
 
 
 def _char_sum_over_codes(ctx, form, codes):
@@ -136,9 +135,9 @@ def _evaluate(ctx, n, a):
     Tr(a * x^n) over all x must count n times Tr(a * G_n), plus one 0 for
     x = 0, trace for trace; otherwise this raises RuntimeError.
     """
-    form = ctx.trace_form(a)
-    ssum, subgroup_traces = _char_sum_over_codes(ctx, form, _subgroup_table(ctx, n).codes)
-    direct, direct_traces = _char_sum_over_codes(ctx, form, _power_table(ctx, n))
+    form, tables = ctx.trace_form(a), _tables(ctx, n)
+    ssum, subgroup_traces = _char_sum_over_codes(ctx, form, tables.subgroup[0])
+    direct, direct_traces = _char_sum_over_codes(ctx, form, tables.powers)
     expect = n * np.bincount(subgroup_traces, minlength=ctx.p)
     expect[0] += 1
     if not np.array_equal(np.bincount(direct_traces, minlength=ctx.p), expect):
@@ -146,22 +145,24 @@ def _evaluate(ctx, n, a):
     return direct, ssum
 
 
-def _validate(ctx, n, a, need_divisor):
-    if not isinstance(n, int) or n < 1:
+def _validate(ctx, n, a, need_divisor) -> int:
+    k = _index(n)
+    if k is None or k < 1:
         raise ValueError(f"power index must be a positive integer, got {n!r}")
     ctx.check(a)
     if a == 0:
         raise ValueError("character index a must be nonzero")
     if ctx.q > MAX_DIRECT_Q:
         raise ValueError(f"q = {ctx.q} exceeds the summation guard {MAX_DIRECT_Q}")
-    if need_divisor and (ctx.q - 1) % n != 0:
+    if need_divisor and (ctx.q - 1) % k != 0:
         raise ValueError(f"n = {n} must divide q - 1 = {ctx.q - 1}")
+    return k
 
 
 def gauss_sum(ctx: Field, n: int, a) -> complex:
     """Direct evaluation of sum over all x of psi_a(x^n)."""
-    _validate(ctx, n, a, need_divisor=False)
-    return _char_sum_over_codes(ctx, ctx.trace_form(a), _power_table(ctx, n))[0]
+    n = _validate(ctx, n, a, need_divisor=False)
+    return _char_sum_over_codes(ctx, ctx.trace_form(a), _tables(ctx, n).powers)[0]
 
 
 def subgroup_character_sum(ctx: Field, G, a) -> complex:
@@ -182,7 +183,7 @@ def gauss_sum_by_subgroup(ctx: Field, n: int, a) -> complex:
     Every nonzero x^n hits each element of G_n exactly n times, so the two
     evaluations must agree trace for trace; any disagreement raises.
     """
-    _validate(ctx, n, a, need_divisor=True)
+    n = _validate(ctx, n, a, need_divisor=True)
     return 1 + n * _evaluate(ctx, n, a)[1]
 
 
@@ -245,15 +246,15 @@ def gauss_bounds_report(ctx: Field, n: int, a) -> GaussReport:
     for rounding, |S_n(a)| <= (n-1) sqrt(q) and
     |S(a, G_n)| <= q^(1/8) E+(G_n)^(1/4).
     """
-    if n < 2:
+    if _index(n) is not None and n < 2:
         raise ValueError("bounds need n >= 2 (n = 1 gives the zero sum)")
-    _validate(ctx, n, a, need_divisor=True)
+    n = _validate(ctx, n, a, need_divisor=True)
     direct, ssum = _evaluate(ctx, n, a)
     magnitude = abs(direct)
     weil = (n - 1) * math.sqrt(ctx.q)
     if magnitude > weil + 1e-6:
         raise RuntimeError(f"Weil bound violated: |S| = {magnitude} > {weil}")
-    e_g = _subgroup_table(ctx, n).energy
+    e_g = _tables(ctx, n).subgroup[1]
     konyagin = ctx.q ** 0.125 * e_g ** 0.25
     if abs(ssum) > konyagin + 1e-6:
         raise RuntimeError(f"energy bound violated: |S(a,G)| = {abs(ssum)} > {konyagin}")

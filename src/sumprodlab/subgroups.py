@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .energy import energy
-from .fields import Field, divisors
+from .fields import Field, _index, divisors
 from .sets import ESet, _op_blocks, _same_field
 
 # default exponents for the report-only power conditions
@@ -90,15 +90,16 @@ def _orbit_energy(G: SubgroupInfo) -> int:
 def subgroup_of_order(ctx: Field, t: int) -> SubgroupInfo:
     """The unique subgroup of order t of the cyclic unit group; t must divide q - 1."""
     codes, h = ctx.unit_subgroup(t)
-    return SubgroupInfo(ESet(ctx, codes), t, h)
+    return SubgroupInfo(ESet(ctx, codes), len(codes), h)
 
 
 def nth_power_subgroup(ctx: Field, n: int) -> SubgroupInfo:
     """{x^n : x in the unit group}, of order (q-1)/gcd(n, q-1)."""
-    if n < 1:
+    k = _index(n)
+    if k is None or k < 1:
         raise ValueError("n must be a positive integer")
-    t = (ctx.q - 1) // math.gcd(n, ctx.q - 1)
-    return replace(subgroup_of_order(ctx, t), n=n)
+    t = (ctx.q - 1) // math.gcd(k, ctx.q - 1)
+    return replace(subgroup_of_order(ctx, t), n=k)
 
 
 def _subfield_count(G: SubgroupInfo, nu: int) -> int:

@@ -98,12 +98,11 @@ def _pick(rng, seq):
 # identities
 
 
-def check_field_arithmetic(max_q=512, samples=450):
+def check_field_arithmetic(max_q):
     """Commutativity, associativity, distributivity, inverses, Frobenius, trace."""
     rng = _rng(12)
     fields = _spread(_prime_power_fields(min(max_q, 512)), 15)
-    per = samples // len(fields) + 1
-    n = 0
+    per = 450 // len(fields) + 1
     for p, m in fields:
         ctx = make_field(p, m)
         g = ctx.generator()
@@ -127,19 +126,17 @@ def check_field_arithmetic(max_q=512, samples=450):
                 raise RuntimeError(f"trace additivity failed in {ctx!r}")
             if ctx.trace(ctx.pow(x, p)) != ctx.trace(x):
                 raise RuntimeError(f"trace Frobenius invariance failed in {ctx!r}")
-            n += 1
-    return n
+    return len(fields) * per
 
 
-def check_product_shift_identity(max_q=4096, tuples=10000):
+def check_product_shift_identity(max_q):
     """The rearrangement identity on random (a1, a2, a3, c, b, d) tuples."""
     rng = _rng(2)
     primes = _spread([f for f in _prime_power_fields(min(max_q, 4096), ms={1})
                       if f[0] >= 5], 13)
     exts = _spread(_prime_power_fields(min(max_q, 4096), ms={2, 3, 4}), 12)
     fields = primes + exts
-    per = tuples // len(fields) + 1
-    n = 0
+    per = 10000 // len(fields) + 1
     for p, m in fields:
         ctx = make_field(p, m)
         for _ in range(per):
@@ -150,31 +147,30 @@ def check_product_shift_identity(max_q=4096, tuples=10000):
             if not product_shift_identity(ctx, a1, a2, a3, c, b, d):
                 raise RuntimeError(
                     f"identity failed in {ctx!r} at {(a1, a2, a3, c, b, d)}")
-            n += 1
-    return n, f"fields={len(fields)}"
+    return len(fields) * per, f"fields={len(fields)}"
 
 
-def check_triple_cover_totals(max_q=512, instances=100):
+def check_triple_cover_totals(max_q):
     """Order-exchange totals (asserted internally) on random shifted sets."""
     rng = _rng(3)
     fields = [f for f in _prime_power_fields(min(max_q, 512)) if f[0] ** f[1] >= 7]
-    for _ in range(instances):
+    for _ in range(100):
         p, m = _pick(rng, fields)
         ctx = make_field(p, m)
         A = _sample_set(rng, ctx, int(rng.integers(1, 13)))
         C = _sample_set(rng, ctx, int(rng.integers(1, 13)), nonzero=True)
         d = int(rng.integers(1, ctx.q))
         triple_cover_totals(shift(A, d), C)
-    return instances
+    return 100
 
 
-def check_triple_cover_vs_brute(max_q=512, instances=60):
+def check_triple_cover_vs_brute(max_q):
     """Fast cover counts against the linear-scan oracle, plus a literal
     triple-sum identity check on tiny instances."""
     rng = _rng(30)
     fields = [f for f in _prime_power_fields(min(max_q, 512)) if f[0] ** f[1] >= 7]
     n = 0
-    for i in range(instances):
+    for i in range(60):
         p, m = _pick(rng, fields)
         ctx = make_field(p, m)
         cap = 5 if i % 10 == 0 else 7  # every 10th stays tiny for the literal sum
@@ -196,7 +192,7 @@ def check_triple_cover_vs_brute(max_q=512, instances=60):
     return n
 
 
-def check_subgroup_energy_cube(max_q=1024):
+def check_subgroup_energy_cube(max_q):
     """E_mult(G) == |G|^3 for every subgroup of every field with q <= max_q."""
     n = 0
     for p, m in _prime_power_fields(min(max_q, 1024)):
@@ -214,12 +210,12 @@ def check_subgroup_energy_cube(max_q=1024):
 # bounds
 
 
-def check_cauchy_schwarz_chain(max_q=512, witnesses=100):
+def check_cauchy_schwarz_chain(max_q):
     """The three exact chain inequalities on random witnesses."""
     rng = _rng(4)
     fields = [f for f in _prime_power_fields(min(max_q, 512)) if f[0] ** f[1] >= 11]
     done = 0
-    while done < witnesses:
+    while done < 100:
         p, m = _pick(rng, fields)
         ctx = make_field(p, m)
         s = int(rng.integers(2, min(9, ctx.q - 1)))
@@ -240,11 +236,11 @@ def check_cauchy_schwarz_chain(max_q=512, witnesses=100):
     return done
 
 
-def check_plunnecke(max_q=512, instances=200):
+def check_plunnecke(max_q):
     """The k <= 3 sumset/product-set inequality on random instances."""
     rng = _rng(5)
     fields = [f for f in _prime_power_fields(min(max_q, 512)) if f[0] ** f[1] >= 5]
-    for i in range(instances):
+    for i in range(200):
         mode = "additive" if i % 2 == 0 else "multiplicative"
         nonzero = mode == "multiplicative"
         p, m = _pick(rng, fields)
@@ -255,15 +251,15 @@ def check_plunnecke(max_q=512, instances=200):
         Xs = [_sample_set(rng, ctx, int(rng.integers(1, cap + 1)), nonzero=nonzero)
               for _ in range(k)]
         plunnecke_ruzsa_check(Y, Xs, mode)
-    return instances
+    return 200
 
 
-def check_growth_chain(max_q=512, instances=60):
+def check_growth_chain(max_q):
     """K, L >= 1, the energy floor, and the recorded product-set inequality."""
     rng = _rng(15)
     fields = [f for f in _prime_power_fields(min(max_q, 512)) if f[0] ** f[1] >= 11]
     done = 0
-    while done < instances:
+    while done < 60:
         p, m = _pick(rng, fields)
         ctx = make_field(p, m)
         s = int(rng.integers(2, min(11, ctx.q - 1)))
@@ -284,11 +280,11 @@ def check_growth_chain(max_q=512, instances=60):
     return done
 
 
-def check_pair_energy_bound(max_q=997, instances=60):
+def check_pair_energy_bound(max_q):
     """Shape and floor checks of the prime-field pair-energy report."""
     rng = _rng(16)
     primes = [p for p, _ in _prime_power_fields(min(max_q, 997), ms={1}) if p >= 11]
-    for _ in range(instances):
+    for _ in range(60):
         ctx = make_field(_pick(rng, primes))
         X = _sample_set(rng, ctx, int(rng.integers(1, 13)))
         Y = _sample_set(rng, ctx, int(rng.integers(1, 13)))
@@ -298,16 +294,16 @@ def check_pair_energy_bound(max_q=997, instances=60):
             raise RuntimeError("energy fell below the diagonal count")
         if not (rep.bound > 0 and math.isfinite(rep.ratio)):
             raise RuntimeError("degenerate bound or ratio")
-    return instances
+    return 60
 
 
-def check_shifted_subgroup_ratio(max_q=499, instances=40):
+def check_shifted_subgroup_ratio(max_q):
     """The shifted-subgroup energy ratio is finite and positive."""
     rng = _rng(17)
     pool = []
     for p, _ in _prime_power_fields(min(max_q, 499), ms={1}):
         pool.extend((p, t) for t in divisors(p - 1) if 2 <= t <= 60)
-    for _ in range(instances):
+    for _ in range(40):
         p, t = _pick(rng, pool)
         ctx = make_field(p)
         gamma = subgroup_of_order(ctx, t).elements
@@ -315,19 +311,19 @@ def check_shifted_subgroup_ratio(max_q=499, instances=40):
         r = shifted_subgroup_ratio(gamma, x)
         if not (r > 0 and math.isfinite(r)):
             raise RuntimeError(f"bad ratio {r} for order {t} shifted by {x} in {ctx!r}")
-    return instances
+    return 40
 
 
 # ---------------------------------------------------------------------------
 # oracle
 
 
-def check_energy_vs_oracle(max_q=512, instances=200):
+def check_energy_vs_oracle(max_q):
     """Histogram energies equal the quadruple-loop oracle, both kinds."""
     rng = _rng(1)
     primes = [f for f in _prime_power_fields(min(max_q, 512), ms={1}) if f[0] >= 5]
     exts = _prime_power_fields(min(max_q, 512), ms={2, 3, 4})
-    for i in range(instances):
+    for i in range(200):
         if i % 2 == 0:
             p, m = _pick(rng, primes)
             cap = 40
@@ -343,14 +339,14 @@ def check_energy_vs_oracle(max_q=512, instances=200):
         slow = oracle.energy_brute(A, B, kind)
         if fast != slow:
             raise RuntimeError(f"{kind} energy mismatch in {ctx!r}: {fast} != {slow}")
-    return instances
+    return 200
 
 
-def check_product_set_vs_oracle(max_q=512, instances=150):
+def check_product_set_vs_oracle(max_q):
     """Fast product sets equal the loop-and-dedup oracle."""
     rng = _rng(14)
     fields = _prime_power_fields(min(max_q, 512))
-    for _ in range(instances):
+    for _ in range(150):
         p, m = _pick(rng, fields)
         ctx = make_field(p, m)
         hi = min(20, ctx.q)
@@ -358,15 +354,15 @@ def check_product_set_vs_oracle(max_q=512, instances=150):
         B = _sample_set(rng, ctx, int(rng.integers(1, hi + 1)))
         if list(product_set(A, B).codes) != oracle.product_set_brute(A, B):
             raise RuntimeError(f"product set mismatch in {ctx!r}")
-    return instances
+    return 150
 
 
-def check_difference_count(max_q=997, instances=500):
+def check_difference_count(max_q):
     """Membership-scan difference counts equal the double-loop oracle."""
     rng = _rng(11)
     primes = [p for p, _ in _prime_power_fields(min(max_q, 997), ms={1}) if p >= 5]
     ratios = []
-    for _ in range(instances):
+    for _ in range(500):
         p = _pick(rng, primes)
         ctx = make_field(p)
         small = [t for t in divisors(p - 1) if t <= 316]
@@ -382,14 +378,14 @@ def check_difference_count(max_q=997, instances=500):
                 f"difference count mismatch in {ctx!r}: {res.count} != {brute}")
         ratios.append(res.ratio)
     detail = f"ratio max={max(ratios):.4f} mean={sum(ratios) / len(ratios):.4f}"
-    return instances, detail
+    return 500, detail
 
 
 # ---------------------------------------------------------------------------
 # subfields
 
 
-def check_subfield_gcd(max_q=4096):
+def check_subfield_gcd(max_q):
     """The gcd intersection formula (asserted internally) over every
     (field, power index, proper subfield) with m in {2, 3, 4}."""
     n = 0
@@ -404,12 +400,12 @@ def check_subfield_gcd(max_q=4096):
     return n
 
 
-def check_subfield_vs_brute(max_q=4096, instances=50):
+def check_subfield_vs_brute(max_q):
     """Subsampled intersections against the linear-scan oracle."""
     rng = _rng(7)
     fields = _prime_power_fields(min(max_q, 4096), ms={2, 3, 4})
     done = 0
-    while done < instances:
+    while done < 50:
         p, m = _pick(rng, fields)
         ctx = make_field(p, m)
         nn = _pick(rng, divisors(ctx.q - 1))
@@ -424,7 +420,7 @@ def check_subfield_vs_brute(max_q=4096, instances=50):
     return done
 
 
-def check_coset_scan(max_q=4096):
+def check_coset_scan(max_q):
     """Scan flags agree with their stats; subfields saturate their own coset."""
     rng = _rng(13)
     n = 0
@@ -455,7 +451,7 @@ def check_coset_scan(max_q=4096):
     return n + 1
 
 
-def check_condition_reports(max_q=4096):
+def check_condition_reports(max_q):
     """Power-condition rows are self-consistent; prime fields give none."""
     n = 0
     for p, m in _spread(_prime_power_fields(min(max_q, 4096), ms={2, 3, 4}), 10):
@@ -485,7 +481,7 @@ def check_condition_reports(max_q=4096):
 # gauss
 
 
-def check_quadratic_gauss(max_q=97):
+def check_quadratic_gauss(max_q):
     """|S_2(1)| == sqrt(p) for every odd prime p <= 97."""
     n = 0
     for p in _primes_up_to(min(max_q, 97)):
@@ -498,7 +494,7 @@ def check_quadratic_gauss(max_q=97):
     return n
 
 
-def check_gauss_structure(max_q=512):
+def check_gauss_structure(max_q):
     """Full unit group sums to -1; the top-power subgroup is {1}."""
     n = 0
     for p, m in _spread(_prime_power_fields(min(max_q, 512)), 12):
@@ -519,7 +515,7 @@ def check_gauss_structure(max_q=512):
     return n
 
 
-def check_gauss_sweep(max_q=2000, a_per_pair=5):
+def check_gauss_sweep(max_q):
     """Direct vs subgroup evaluation for every n | q - 1 (all fields with
     q <= min(max_q, 2000)), plus the exact magnitude bounds for n >= 2.
 
@@ -532,7 +528,7 @@ def check_gauss_sweep(max_q=2000, a_per_pair=5):
     for p, m in _prime_power_fields(min(max_q, 2000)):
         ctx = make_field(p, m)
         for nn in divisors(ctx.q - 1):
-            for a in rng.integers(1, ctx.q, size=a_per_pair).tolist():
+            for a in rng.integers(1, ctx.q, size=5).tolist():
                 if nn >= 2:
                     gauss_bounds_report(ctx, nn, int(a))
                     bounds += 1

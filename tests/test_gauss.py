@@ -1,5 +1,10 @@
+import ast
 import cmath
+import gc
+import json
 import math
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,32 @@ from sumprodlab.gauss import (GAUSS_CSV_HEADER, MAX_DIRECT_Q, GaussReport,
                               gauss_sum_by_subgroup, subgroup_character_sum)
 from sumprodlab.sets import ESet
 from sumprodlab.subgroups import nth_power_subgroup, subgroup_of_order
+
+
+@pytest.fixture(autouse=True)
+def fresh_tables():
+    # every test builds its own (field, n) entries and leaves none behind
+    gauss._tables.cache_clear()
+    yield
+    gauss._tables.cache_clear()
+
+
+def _is_cache(node):
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name in ("lru_cache", "cache")
+
+
+def test_module_level_caches_are_named():
+    # a module-level cache outlives every caller, so a new one has to be added here
+    cached, uses = [], 0
+    for path in sorted(Path(gauss.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        uses += sum(map(_is_cache, ast.walk(tree)))
+        cached += [f"{path.stem}.{node.name}" for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   and any(_is_cache(d) for dec in node.decorator_list for d in ast.walk(dec))]
+    assert cached == ["fields._shared_field", "gauss._tables"]
+    assert uses == len(cached)  # none is applied by a call instead of a decorator
 
 
 def test_quadratic_gauss_sum_frozen():
@@ -120,10 +151,27 @@ def test_validation():
         gauss_bounds_report(f7, 1, 1)
     with pytest.raises(ValueError, match="does not live"):
         subgroup_character_sum(f7, ESet(make_field(11), [1]), 1)
+    f13 = make_field(13)
+    for bad in (True, 2.0, "2"):  # True is not 1: each raises, none is summed
+        with pytest.raises(ValueError, match="positive integer"):
+            gauss_sum(f13, bad, 1)
+        with pytest.raises(ValueError, match="positive integer"):
+            gauss_sum_by_subgroup(f13, bad, 1)
+        with pytest.raises(ValueError, match="positive integer"):
+            gauss_bounds_report(f13, bad, 1)
     big = make_field(1000003)
     assert big.q > MAX_DIRECT_Q
     with pytest.raises(ValueError, match="guard"):
         gauss_sum(big, 2, 1)
+
+
+def test_numpy_power_index_reports_as_int():
+    f13 = make_field(13)
+    rep = gauss_bounds_report(f13, np.int64(3), 2)
+    assert type(rep.n) is int and rep == gauss_bounds_report(f13, 3, 2)
+    assert json.loads(json.dumps(rep.as_dict()))["n"] == 3
+    assert gauss_sum(f13, np.int32(4), 5) == gauss_sum(f13, 4, 5)
+    assert gauss_sum_by_subgroup(f13, np.int64(6), 5) == gauss_sum_by_subgroup(f13, 6, 5)
 
 
 def _literal_powers(ctx, n):
@@ -141,21 +189,19 @@ def test_chained_power_tables(pm, monkeypatch):
         return real_vpow(ctx_, base, e)
 
     monkeypatch.setattr(gauss, "_vpow", spy)
-    gauss._power_table.cache_clear()
     primes = {ell for ell in divisors(ctx.q - 1) if ell > 1 and len(divisors(ell)) == 2}
     for n in divisors(ctx.q - 1):  # ascending: every n > 1 raises a cached table to a prime
-        table = gauss._power_table(ctx, n)
+        table = gauss._tables(ctx, n).powers
         assert not table.flags.writeable and table.dtype == np.int32
         assert np.array_equal(table, _literal_powers(ctx, n))
     assert exponents[0] == 1 and set(exponents[1:]) <= primes
     # a cold cache chains down through the divisors it needs
-    gauss._power_table.cache_clear()
+    gauss._tables.cache_clear()
     top = ctx.q - 1
-    assert np.array_equal(gauss._power_table(ctx, top), _literal_powers(ctx, top))
+    assert np.array_equal(gauss._tables(ctx, top).powers, _literal_powers(ctx, top))
     # n not dividing q - 1 is built from the codes, whatever it shares with q - 1
     for n in (ctx.q, 2 * (ctx.q - 1), 10 ** 9 + 7):
-        assert np.array_equal(gauss._power_table(ctx, n), _literal_powers(ctx, n))
-    gauss._power_table.cache_clear()
+        assert np.array_equal(gauss._tables(ctx, n).powers, _literal_powers(ctx, n))
 
 
 @pytest.mark.parametrize("pm", [(8191, 1), (3, 4), (2, 6), (5, 2), (3, 9)])
@@ -204,18 +250,18 @@ def test_large_prime_power_index_is_quick(monkeypatch):
     factored = []
     real_factorize = gauss.factorize
     monkeypatch.setattr(gauss, "factorize", lambda k: factored.append(k) or real_factorize(k))
-    gauss._power_table.cache_clear()
     # x^n = x^(n mod (q - 1)) on the units, and 0^n = 0
     expect = _literal_powers(ctx, n % (ctx.q - 1))
     expect[0] = 0
-    assert np.array_equal(gauss._power_table(ctx, n), expect)
+    assert np.array_equal(gauss._tables(ctx, n).powers, expect)
     assert cmath.isclose(gauss_sum(ctx, n, 3), gauss_sum(ctx, n % (ctx.q - 1), 3), abs_tol=1e-9)
     gauss_sum(ctx, 2 * 3 * 5 * 7, 3)
     assert set(factored) == {ctx.q - 1}
-    gauss._power_table.cache_clear()
 
 
 def test_subgroup_table_shared_across_characters(monkeypatch):
+    # G_n and E+(G_n) are built together, once per cached (field, n), whichever
+    # evaluation reads them first, and again only after the entry is evicted
     ctx = make_field(8191)
     built, counted = [], []
     real_subgroup, real_energy = gauss.nth_power_subgroup, gauss.subgroup_additive_energy
@@ -230,17 +276,50 @@ def test_subgroup_table_shared_across_characters(monkeypatch):
 
     monkeypatch.setattr(gauss, "nth_power_subgroup", subgroup_spy)
     monkeypatch.setattr(gauss, "subgroup_additive_energy", energy_spy)
-    gauss._subgroup_table.cache_clear()
     for n in (2, 4095):
         reps = [gauss_bounds_report(ctx, n, a) for a in (1, 2, 17, ctx.q - 1)]
         gauss_sum_by_subgroup(ctx, n, 5)
         G = real_subgroup(ctx, n)
         assert {r.group_energy for r in reps} == {energy(G.elements).value}
     assert built == [2, 4095] and counted == [2, 4095]
-    # only the last (field, n) is kept, and a table not asked for its energy never counts it
+    gauss_sum_by_subgroup(ctx, 3, 5)
     gauss_sum_by_subgroup(ctx, 2, 5)
-    assert built == [2, 4095, 2] and counted == [2, 4095]
-    gauss._subgroup_table.cache_clear()
+    assert built == counted == [2, 4095, 3]
+    for n in range(10 ** 4, 10 ** 4 + 16):  # 16 newer entries evict n = 2
+        gauss._tables(ctx, n)
+    gauss_bounds_report(ctx, 2, 5)
+    assert built == counted == [2, 4095, 3, 2]
+
+
+def test_gauss_sum_builds_no_subgroup(monkeypatch):
+    built = []
+    monkeypatch.setattr(gauss, "nth_power_subgroup", lambda ctx_, n: built.append(n))
+    for pm in ((13, 1), (3, 4)):
+        ctx = make_field(*pm)
+        for n in divisors(ctx.q - 1) + [ctx.q]:
+            gauss_sum(ctx, n, 1)
+    assert built == []
+
+
+def test_report_keeps_no_python_int_subgroup(monkeypatch):
+    # only G_n's codes and E+(G_n) are kept: the SubgroupInfo of Python ints is dropped
+    refs = []
+    real = gauss.nth_power_subgroup
+
+    def spy(ctx_, n):
+        G = real(ctx_, n)
+        refs.append(weakref.ref(G))
+        return G
+
+    monkeypatch.setattr(gauss, "nth_power_subgroup", spy)
+    ctx = make_field(8191)
+    rep = gauss_bounds_report(ctx, 2, 1)
+    gc.collect()
+    assert len(refs) == 1 and refs[0]() is None
+    codes, e_g = gauss._tables(ctx, 2).subgroup
+    assert codes.dtype == np.int64 and not codes.flags.writeable
+    assert codes.tolist() == sorted(nth_power_subgroup(ctx, 2).elements.codes)
+    assert e_g == rep.group_energy
 
 
 @pytest.mark.parametrize("pm, n", [((8191, 1), 3), ((3, 4), 4), ((2, 6), 9), ((7, 4), 2400)])
@@ -249,9 +328,6 @@ def test_second_character_pays_no_vmul(pm, n, monkeypatch):
     # form: no array multiplication per a, neither through vmul nor through
     # the digit product that builds the power tables
     ctx = make_field(*pm)
-    gauss._power_table.cache_clear()
-    gauss._subgroup_table.cache_clear()
-    first = gauss_bounds_report(ctx, n, 1)
     calls = []
     for name in ("vmul", "_digit_product"):
         real = getattr(Field, name)
@@ -261,9 +337,9 @@ def test_second_character_pays_no_vmul(pm, n, monkeypatch):
             return real(self, x, y)
 
         monkeypatch.setattr(Field, name, counting)
-    gauss._power_table.cache_clear()
     gauss_sum(ctx, n, 1)
-    assert "_digit_product" in calls  # the spy sees a table rebuild
+    assert "_digit_product" in calls  # the spy sees the table build
+    first = gauss_bounds_report(ctx, n, 1)  # and this one G_n and E+(G_n)
     calls.clear()
     for a in (2, ctx.q - 1):
         rep = gauss_bounds_report(ctx, n, a)
@@ -271,16 +347,12 @@ def test_second_character_pays_no_vmul(pm, n, monkeypatch):
         gauss_sum(ctx, n, a)
         gauss_sum_by_subgroup(ctx, n, a)
     assert calls == []
-    gauss._power_table.cache_clear()
-    gauss._subgroup_table.cache_clear()
 
 
 def test_report_builds_one_trace_form(monkeypatch):
     # the subgroup codes and the power table are read against one form:
     # m scalar products per character, not one form per array
     ctx = make_field(3, 5)
-    gauss._power_table.cache_clear()
-    gauss._subgroup_table.cache_clear()
     gauss_bounds_report(ctx, 2, 1)  # builds and keeps the (field, n) tables
     products = []
     real = Field.mul
@@ -295,22 +367,20 @@ def test_report_builds_one_trace_form(monkeypatch):
         rep = gauss_bounds_report(ctx, 2, a)
         assert products == [(a, ctx.p ** i) for i in range(ctx.m)]
         assert rep.value == gauss_sum(ctx, 2, a)
-    gauss._power_table.cache_clear()
-    gauss._subgroup_table.cache_clear()
 
 
 @pytest.mark.parametrize("pm, n", [((13, 1), 3), ((3, 4), 4), ((2, 6), 9)])
 def test_perturbed_power_table_raises(pm, n, monkeypatch):
     ctx = make_field(*pm)
     a = next(a for a in range(1, ctx.q) if ctx.trace(a) != 0)
-    real = gauss._power_table
+    real = gauss._vpow
 
-    def perturbed(ctx_, n_):
-        table = real(ctx_, n_).copy()
+    def perturbed(ctx_, base, e):
+        table = real(ctx_, base, e)
         table[1] = 0  # 1^n = 1 now counts at trace 0 instead of Tr(a)
         return table
 
-    monkeypatch.setattr(gauss, "_power_table", perturbed)
+    monkeypatch.setattr(gauss, "_vpow", perturbed)
     with pytest.raises(RuntimeError, match="disagree"):
         gauss_bounds_report(ctx, n, a)
     with pytest.raises(RuntimeError, match="disagree"):

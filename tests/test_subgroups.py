@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sumprodlab import sets, subgroups
@@ -64,6 +65,24 @@ def test_nth_power_subgroup_frozen():
     assert nth_power_subgroup(f16, 2).order == 15
     with pytest.raises(ValueError):
         nth_power_subgroup(f16, 0)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "2"])
+def test_orders_and_power_indices_must_be_integers(bad):
+    # True is not 1 and 2.0 is not 2: both raise ValueError, not a numpy TypeError
+    f13 = make_field(13)
+    with pytest.raises(ValueError, match="divide"):
+        subgroup_of_order(f13, bad)
+    with pytest.raises(ValueError, match="positive integer"):
+        nth_power_subgroup(f13, bad)
+
+
+def test_numpy_orders_and_power_indices_become_ints():
+    f13 = make_field(13)
+    G = subgroup_of_order(f13, np.int64(4))
+    assert type(G.order) is int and G == subgroup_of_order(f13, 4)
+    H = nth_power_subgroup(f13, np.int32(3))
+    assert type(H.n) is int and type(H.order) is int and H == nth_power_subgroup(f13, 3)
 
 
 def test_subgroup_info_validation():

@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 from sumprodlab.verify import (SUITE_NAMES, SUITES, CheckResult, run_suite)
@@ -7,6 +9,14 @@ def test_suite_names_frozen():
     assert SUITE_NAMES == ("all", "identities", "oracle", "bounds",
                            "subfields", "gauss")
     assert sum(len(v) for v in SUITES.values()) == 20
+
+
+def test_every_check_takes_only_max_q():
+    # run_suite passes max_q alone, so a check's counts are fixed in its body
+    for checks in SUITES.values():
+        for name, fn in checks:
+            params = list(inspect.signature(fn).parameters.values())
+            assert [(p.name, p.default) for p in params] == [("max_q", inspect.Parameter.empty)], name
 
 
 def test_check_result_line():
