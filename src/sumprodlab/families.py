@@ -74,4 +74,4 @@ def generate_family(ctx: Field, family: str, size: int, seed: int,
             raise ValueError("interval family needs a prime field")
         return ESet(ctx, np.arange(1, size + 1))
     # geometric: g has order q - 1, so the first `size` powers are distinct
-    return ESet(ctx, ctx.powers(ctx.generator(), size))
+    return ESet(ctx, ctx.generator_powers(size))

@@ -33,8 +33,12 @@ of unity each sit in a slot that stays unset until first read; the
 subfields sit in a dict keyed by nu.  Recomputing one in a race is
 idempotent, so contexts may be shared between threads.  Powers of an
 element are listed by doubling (powers), after a short scalar run in
-extension fields, and not cached: a subgroup of order t costs O(t) work
-whatever the field order.
+extension fields.  Powers of the generator g go through one method,
+generator_powers, which slices a read-only int32 table of g^0, ..., g^(q-2)
+(4(q - 1) bytes, in a write-once slot) once it exists.  The table is built
+only by a request for at least half the unit group, so that request costs
+about twice its own doubling; smaller ones double, so a subgroup of order t
+costs O(t) work whatever the field order.
 """
 
 from __future__ import annotations
@@ -231,11 +235,11 @@ class Field:
     """A finite field GF(p^m) whose elements are integer codes in [0, q)."""
 
     # No instance __dict__: attribute loads stay fast after the lazy tables
-    # are built.  The last three are write-once: unset until first read.
+    # are built.  The last four are write-once: unset until first read.
     __slots__ = ("p", "m", "q", "modulus", "width", "_red", "_place", "_lane",
                  "_lane_mask", "_low_mask", "_low_bits", "_lane_shifts", "_red_lanes",
                  "_chunk_base", "_chunk_bits", "_spread_table", "_subfields",
-                 "_generator", "_tr_basis", "_roots")
+                 "_generator", "_tr_basis", "_roots", "_generator_table")
 
     def __init__(self, p: int, m: int = 1):
         given_p, given_m = p, m
@@ -685,17 +689,49 @@ class Field:
                 return cand
         raise RuntimeError("no generator found")  # pragma: no cover - the group is cyclic
 
+    def generator_powers(self, count, step=1):
+        """g^0, g^step, ..., g^((count-1)*step) as an int64 array, g = generator().
+
+        The exponents must stay below q - 1.  The unit group is cyclic
+        (Lidl-Niederreiter, Finite Fields, Thm 2.8), so every such list is a
+        strided slice of g^0, ..., g^(q-2).  Once the field holds that table
+        (read-only int32, 4(q - 1) bytes) the list is copied from it.  A
+        request for at least half the unit group (2 * count >= q - 1) builds
+        the table first, at about twice the cost of its own doubling, so the
+        table's bytes stay within 8 * count; any other request doubles from
+        g^step (powers).  So a subgroup of order 3 in GF(2^22) never lists
+        all q - 1 powers.
+        """
+        n = self.q - 1
+        if count < 0 or step < 1 or (count - 1) * step >= n:
+            raise ValueError(f"exponents 0, {step}, ..., {(count - 1) * step} "
+                             f"do not stay below q - 1 = {n}")
+        try:
+            table = self._generator_table
+        except AttributeError:
+            if 2 * count < n:
+                return self.powers(self.pow(self.generator(), step), count)
+            table = _read_only(self.powers(self.generator(), n).astype(np.int32))
+            self._generator_table = table
+        return table[:count * step:step].astype(np.int64)
+
     def unit_subgroup(self, t):
         """(codes, h): the order-t subgroup of the unit group and its generator.
 
         h = g^((q-1)/t) is a Python int and codes is the int64 array
-        h^0, ..., h^(t-1), checked to close (h^t = 1); t must divide q - 1.
+        h^0, ..., h^(t-1) from generator_powers, checked to close (h^t = 1);
+        t must divide q - 1.  h is read from the generator-power table when
+        the field holds one, so a wrong table fails the check.
         """
         n, k = self.q - 1, _index(t)
         if k is None or k < 1 or n % k != 0:
             raise ValueError(f"{t} does not divide q - 1 = {n}")
-        h = self.pow(self.generator(), n // k)
-        codes = self.powers(h, k)
+        step = n // k
+        codes = self.generator_powers(k, step)
+        try:
+            h = int(self._generator_table[step % n])
+        except AttributeError:
+            h = self.pow(self.generator(), step)
         if self.mul(int(codes[-1]), h) != 1:
             raise RuntimeError("subgroup enumeration did not close")
         return codes, h
@@ -706,15 +742,16 @@ class Field:
         These are exactly the fixed points of x -> x^(p^nu): {0} together
         with the multiplicative subgroup of order p^nu - 1.
         """
-        if not isinstance(nu, int) or nu < 1 or self.m % nu != 0:
+        k = _index(nu)
+        if k is None or k < 1 or self.m % k != 0:
             raise ValueError(f"{nu!r} does not divide the extension degree {self.m}")
-        cached = self._subfields.get(nu)
+        cached = self._subfields.get(k)
         if cached is None:
             from .sets import ESet
 
-            codes, _ = self.unit_subgroup(self.p ** nu - 1)
+            codes, _ = self.unit_subgroup(self.p ** k - 1)
             cached = ESet(self, np.concatenate(([0], codes)))
-            self._subfields[nu] = cached
+            self._subfields[k] = cached
         return cached
 
 

@@ -19,7 +19,8 @@ report-only.
 
 The x^n table, G_n's codes and E+(G_n) depend on (field, n) alone: one
 cached entry per (field, n), the 16 most recent kept, serves every character
-a of it.  G_n itself, about 18 MB of Python ints near q = 10^6, is not kept.
+a of it.  G_n's codes are sliced from the field's generator powers and
+counted as one int64 array, never as Python ints.
 
 Complex accumulation uses numpy's fixed pairwise reduction over element
 codes in increasing order, which is bit-reproducible for a given platform.
@@ -35,7 +36,7 @@ import numpy as np
 
 from .fields import _BLOCK, Field, _index, _read_only, factorize
 from .sets import ESet
-from .subgroups import SubgroupInfo, nth_power_subgroup, subgroup_additive_energy
+from .subgroups import SubgroupInfo, _subgroup_energy
 
 MAX_DIRECT_Q = 10 ** 6  # runtime guard for full-field summation
 
@@ -110,10 +111,14 @@ class _Tables:
 
     @functools.cached_property
     def subgroup(self):
-        """(G_n's read-only, ascending int64 codes, E+(G_n)); the SubgroupInfo is dropped."""
-        G = nth_power_subgroup(self.ctx, self.n)
-        codes = _read_only(np.asarray(G.elements.codes, dtype=np.int64))
-        return codes, subgroup_additive_energy(G)
+        """(G_n's read-only, ascending int64 codes, E+(G_n)), for n | q - 1.
+
+        The codes come from Field.unit_subgroup as one array, sorted, and
+        E+(G_n) is counted on that array, so G_n is never a list of Python ints.
+        """
+        ctx = self.ctx
+        codes = _read_only(np.sort(ctx.unit_subgroup((ctx.q - 1) // self.n)[0]))
+        return codes, _subgroup_energy(ctx, codes)
 
 
 # Both reports visit every a of one (field, n) in a row, and a divisor scan chains

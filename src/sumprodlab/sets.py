@@ -386,7 +386,7 @@ def coset_scan(S: ESet, threshold_exponent: float, base: str = "subfield_size"):
         if ctx.m % nu != 0:
             continue
         F = ctx.subfield(nu)
-        reps = ctx.powers(ctx.generator(), (ctx.q - 1) // (ctx.p ** nu - 1))
+        reps = ctx.generator_powers((ctx.q - 1) // (ctx.p ** nu - 1))
         thr = float(len(F) if base == "subfield_size" else len(S)) ** threshold_exponent
         inter = _row_hits(ctx, reps, F.codes, S.codes).tolist()
         stats += [CosetStat(nu, c, k, thr) for c, k in zip(reps.tolist(), inter)]

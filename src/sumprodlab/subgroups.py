@@ -68,18 +68,22 @@ def subgroup_additive_energy(G: SubgroupInfo) -> int:
     ctx, t = G.ctx, G.order
     if (ctx.q - 1) % t != 0:
         raise ValueError(f"order {t} does not divide q - 1 = {ctx.q - 1}")
-    if t * t <= ctx.q - 1:
-        return energy(G.elements, kind="additive").value
-    return _orbit_energy(G)
+    return _subgroup_energy(ctx, np.asarray(G.elements.codes, dtype=np.int64))
 
 
-def _orbit_energy(G: SubgroupInfo) -> int:
-    """E+(G) over the coset orbits, as subgroup_additive_energy describes."""
-    ctx, t = G.ctx, G.order
-    codes = np.asarray(G.elements.codes, dtype=np.int64)
+def _subgroup_energy(ctx: Field, codes) -> int:
+    """E+(G) from G's int64 codes, by the kernel or the orbits as subgroup_additive_energy says."""
+    if codes.size * codes.size <= ctx.q - 1:
+        return energy(ESet(ctx, codes), kind="additive").value
+    return _orbit_energy(ctx, codes)
+
+
+def _orbit_energy(ctx: Field, codes) -> int:
+    """E+(G) over the coset orbits, from G's int64 codes, as subgroup_additive_energy describes."""
+    t = codes.size
     member = np.zeros(ctx.q, dtype=bool)
     member[codes] = True
-    reps = ctx.powers(ctx.generator(), (ctx.q - 1) // t)
+    reps = ctx.generator_powers((ctx.q - 1) // t)
     r = np.concatenate([member[z].sum(axis=1) for z in _op_blocks(ctx, reps, codes, Field.vsub)])
     r0 = t if member[ctx.neg(1)] else 0
     if r0 + t * int(r.sum()) != t * t:
@@ -120,8 +124,9 @@ def subfield_intersection(G: SubgroupInfo, nu: int) -> tuple[int, int]:
     n = G.n
     if (ctx.q - 1) % n != 0:
         raise ValueError(f"n = {n} must divide q - 1 = {ctx.q - 1}")
-    if nu < 1 or nu >= ctx.m or ctx.m % nu != 0:
-        raise ValueError(f"{nu} is not a proper divisor of m = {ctx.m}")
+    given, nu = nu, _index(nu)
+    if nu is None or nu < 1 or nu >= ctx.m or ctx.m % nu != 0:
+        raise ValueError(f"{given} is not a proper divisor of m = {ctx.m}")
     exact = _subfield_count(G, nu)
     e = ctx.p ** nu - 1
     num = math.gcd(n, (ctx.q - 1) // e) * e
@@ -156,8 +161,9 @@ def gcd_growth_condition(ctx: Field, n: int,
     implied constant 1.  Prime fields have no proper subfields and give an
     empty list (documented behavior, not an error).
     """
-    if n < 1 or (ctx.q - 1) % n != 0:
-        raise ValueError(f"n = {n} must divide q - 1 = {ctx.q - 1}")
+    given, n = n, _index(n)
+    if n is None or n < 1 or (ctx.q - 1) % n != 0:
+        raise ValueError(f"n = {given} must divide q - 1 = {ctx.q - 1}")
     out = []
     for nu in _proper_degrees(ctx.m):
         lhs = float(math.gcd(n, (ctx.q - 1) // (ctx.p ** nu - 1)))

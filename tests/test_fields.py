@@ -227,6 +227,17 @@ def test_subfield_frozen():
         ctx.subfield(3)
 
 
+def test_subfield_degree_is_an_integer():
+    # bools and non-integers are not degrees; numpy integers name the same subfield
+    ctx = Field(3, 4)
+    assert ctx.subfield(np.int64(2)) is ctx.subfield(2)
+    for bad in (True, False, 2.0, "2", None):
+        with pytest.raises(ValueError, match="does not divide the extension degree 4"):
+            ctx.subfield(bad)
+    with pytest.raises(ValueError, match="^3 does not divide the extension degree 4$"):
+        ctx.subfield(3)
+
+
 def test_subfield_is_multiplicatively_closed():
     ctx = make_field(3, 3)
     F = ctx.subfield(1)
@@ -252,6 +263,55 @@ def test_powers_by_doubling(pm, monkeypatch):
                 assert got.tolist() == [ctx.pow(h, k) for k in range(count)]
     with pytest.raises(ValueError):
         ctx.powers(np.int64(2), 3)
+
+
+@pytest.mark.parametrize("pm", [(2, 1), (3, 4), (2, 10), (8191, 1)])
+def test_generator_powers_match_powers_on_both_paths(pm):
+    # before the table exists a request for less than half the unit group
+    # doubles; the first request for half or more builds the table, and
+    # every later request slices it
+    ctx = Field(*pm)
+    n, g = ctx.q - 1, ctx.generator()
+    requests = [(count, step) for step in divisors(n)
+                for count in sorted({0, 1, 2, n // step // 2, n // step}) if count <= n // step]
+    small = [(count, step) for count, step in requests if 2 * count < n]
+
+    def check(count, step):
+        got = ctx.generator_powers(count, step)
+        assert got.dtype == np.int64
+        assert got.tolist() == ctx.powers(ctx.pow(g, step), count).tolist()
+
+    for count, step in small:
+        check(count, step)
+    assert not hasattr(ctx, "_generator_table")
+    for count, step in requests:
+        check(count, step)
+    table = ctx._generator_table
+    assert table.dtype == np.int32 and not table.flags.writeable
+    assert table.tolist() == ctx.powers(g, n).tolist()
+    for count, step in small:
+        check(count, step)
+    for count, step in ((-1, 1), (n + 1, 1), (2, n), (1, 0)):
+        with pytest.raises(ValueError, match="below q - 1"):
+            ctx.generator_powers(count, step)
+
+
+def test_corrupted_generator_table_fails_the_closure_check():
+    # the subgroup of order 3 in GF(13) is read off the table at g^0, g^4,
+    # g^8, and its generator h = g^4 too: a wrong g^4 or g^8 breaks g^8 * h = 1
+    ctx = Field(13)
+    ctx.generator_powers(ctx.q - 1)
+    good = ctx._generator_table
+    for i in (4, 8):
+        bad = good.copy()
+        bad[i] = good[i + 1]
+        ctx._generator_table = fields._read_only(bad)
+        with pytest.raises(RuntimeError, match="did not close"):
+            ctx.unit_subgroup(3)
+    ctx._generator_table = good
+    codes, h = ctx.unit_subgroup(3)
+    assert h == ctx.pow(ctx.generator(), 4)
+    assert codes.tolist() == [ctx.pow(h, k) for k in range(3)]
 
 
 def _literal_mul(ctx):
@@ -368,6 +428,8 @@ def test_field_has_no_instance_dict():
         assert ctx.generator() == g and ctx.trace(ctx.q - 1) < ctx.p
         roots = ctx.roots
         assert ctx.roots is roots and not roots.flags.writeable
+        ctx.generator_powers(ctx.q - 1)
+        assert ctx._generator_table.size == ctx.q - 1
         assert not hasattr(ctx, "__dict__")
         with pytest.raises(AttributeError):
             ctx.cache = {}

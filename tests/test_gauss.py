@@ -1,9 +1,7 @@
 import ast
 import cmath
-import gc
 import json
 import math
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -263,24 +261,24 @@ def test_subgroup_table_shared_across_characters(monkeypatch):
     # G_n and E+(G_n) are built together, once per cached (field, n), whichever
     # evaluation reads them first, and again only after the entry is evicted
     ctx = make_field(8191)
+    expected = {n: energy(nth_power_subgroup(ctx, n).elements).value for n in (2, 4095)}
     built, counted = [], []
-    real_subgroup, real_energy = gauss.nth_power_subgroup, gauss.subgroup_additive_energy
+    real_subgroup, real_energy = Field.unit_subgroup, gauss._subgroup_energy
 
-    def subgroup_spy(ctx_, n):
-        built.append(n)
-        return real_subgroup(ctx_, n)
+    def subgroup_spy(ctx_, t):
+        built.append((ctx_.q - 1) // t)
+        return real_subgroup(ctx_, t)
 
-    def energy_spy(G):
-        counted.append(G.n)
-        return real_energy(G)
+    def energy_spy(ctx_, codes):
+        counted.append((ctx_.q - 1) // codes.size)
+        return real_energy(ctx_, codes)
 
-    monkeypatch.setattr(gauss, "nth_power_subgroup", subgroup_spy)
-    monkeypatch.setattr(gauss, "subgroup_additive_energy", energy_spy)
+    monkeypatch.setattr(Field, "unit_subgroup", subgroup_spy)
+    monkeypatch.setattr(gauss, "_subgroup_energy", energy_spy)
     for n in (2, 4095):
         reps = [gauss_bounds_report(ctx, n, a) for a in (1, 2, 17, ctx.q - 1)]
         gauss_sum_by_subgroup(ctx, n, 5)
-        G = real_subgroup(ctx, n)
-        assert {r.group_energy for r in reps} == {energy(G.elements).value}
+        assert {r.group_energy for r in reps} == {expected[n]}
     assert built == [2, 4095] and counted == [2, 4095]
     gauss_sum_by_subgroup(ctx, 3, 5)
     gauss_sum_by_subgroup(ctx, 2, 5)
@@ -291,9 +289,28 @@ def test_subgroup_table_shared_across_characters(monkeypatch):
     assert built == counted == [2, 4095, 3, 2]
 
 
+def test_divisor_scan_builds_one_generator_table_per_field(monkeypatch):
+    # the table of all q - 1 generator powers is built by the first request
+    # for half the unit group, G_2, and never when q - 1 is odd
+    full = []
+    real = Field.powers
+
+    def spy(ctx_, h, count):
+        if count == ctx_.q - 1:
+            full.append(repr(ctx_))
+        return real(ctx_, h, count)
+
+    monkeypatch.setattr(Field, "powers", spy)
+    for pm in ((7, 2), (3, 4), (8191, 1), (2, 6)):
+        ctx = Field(*pm)
+        for n in divisors(ctx.q - 1)[1:]:
+            gauss_bounds_report(ctx, n, 1)
+    assert full == ["GF(7^2)", "GF(3^4)", "GF(8191)"]
+
+
 def test_gauss_sum_builds_no_subgroup(monkeypatch):
     built = []
-    monkeypatch.setattr(gauss, "nth_power_subgroup", lambda ctx_, n: built.append(n))
+    monkeypatch.setattr(Field, "unit_subgroup", lambda ctx_, t: built.append(t))
     for pm in ((13, 1), (3, 4)):
         ctx = make_field(*pm)
         for n in divisors(ctx.q - 1) + [ctx.q]:
@@ -302,20 +319,20 @@ def test_gauss_sum_builds_no_subgroup(monkeypatch):
 
 
 def test_report_keeps_no_python_int_subgroup(monkeypatch):
-    # only G_n's codes and E+(G_n) are kept: the SubgroupInfo of Python ints is dropped
-    refs = []
-    real = gauss.nth_power_subgroup
+    # G_n goes from the generator powers to E+(G_n) as one int64 array, with
+    # no ESet of Python ints on the way; only its codes and E+(G_n) are kept
+    made = []
+    real = ESet.__init__
 
-    def spy(ctx_, n):
-        G = real(ctx_, n)
-        refs.append(weakref.ref(G))
-        return G
+    def spy(self, ctx_, codes):
+        made.append(len(codes))
+        real(self, ctx_, codes)
 
-    monkeypatch.setattr(gauss, "nth_power_subgroup", spy)
+    monkeypatch.setattr(ESet, "__init__", spy)
     ctx = make_field(8191)
     rep = gauss_bounds_report(ctx, 2, 1)
-    gc.collect()
-    assert len(refs) == 1 and refs[0]() is None
+    assert made == []
+    monkeypatch.undo()
     codes, e_g = gauss._tables(ctx, 2).subgroup
     assert codes.dtype == np.int64 and not codes.flags.writeable
     assert codes.tolist() == sorted(nth_power_subgroup(ctx, 2).elements.codes)

@@ -6,7 +6,7 @@ import pytest
 
 from sumprodlab import sets, subgroups
 from sumprodlab.energy import energy
-from sumprodlab.fields import TABLE_LIMIT, divisors, make_field
+from sumprodlab.fields import TABLE_LIMIT, Field, divisors, make_field
 from sumprodlab.sets import ESet, product_set
 from sumprodlab.subgroups import (DIFF_RATIO_EXPONENT_EXT,
                                   DIFF_RATIO_EXPONENT_PRIME,
@@ -119,6 +119,16 @@ def test_subfield_intersection_validation():
         subfield_intersection(g, 0)
 
 
+def test_subfield_intersection_degree_is_an_integer():
+    # bools and non-integers are not degrees (True once counted as nu = 1)
+    G = nth_power_subgroup(make_field(3, 4), 5)
+    assert subfield_intersection(G, 1) == (2, 2)
+    assert subfield_intersection(G, np.int64(2)) == subfield_intersection(G, 2)
+    for bad in (True, 2.0, "2", None):
+        with pytest.raises(ValueError, match="is not a proper divisor of m = 4"):
+            subfield_intersection(G, bad)
+
+
 def test_gcd_growth_condition_frozen():
     f16 = make_field(2, 4)
     rows = gcd_growth_condition(f16, 5)
@@ -137,6 +147,34 @@ def test_gcd_growth_condition_frozen():
     assert gcd_growth_condition(make_field(7), 3) == []
     with pytest.raises(ValueError):
         gcd_growth_condition(f16, 7)
+
+
+def test_gcd_growth_condition_index_is_an_integer():
+    # bools and non-integers are not power indices (True once gave the rows of n = 1)
+    f81 = make_field(3, 4)
+    rows = gcd_growth_condition(f81, np.int64(5))
+    assert rows == gcd_growth_condition(f81, 5)
+    assert [type(r.nu) for r in rows] == [int, int]
+    for bad in (True, 5.0, "5", None):
+        with pytest.raises(ValueError, match="must divide q - 1 = 80"):
+            gcd_growth_condition(f81, bad)
+
+
+def test_small_subgroup_of_a_large_field_builds_no_table(monkeypatch):
+    # 3 powers of the generator of GF(2^22) are listed by doubling, not sliced
+    # from a table of all 4,194,303
+    ctx = make_field(2, 22)
+    counts = []
+    real = Field.powers
+
+    def spy(ctx_, h, count):
+        counts.append(count)
+        return real(ctx_, h, count)
+
+    monkeypatch.setattr(Field, "powers", spy)
+    G = subgroup_of_order(ctx, 3)
+    assert counts == [3] and G.order == 3
+    assert not hasattr(ctx, "_generator_table")
 
 
 def test_subfield_overlap_condition_frozen():
@@ -197,6 +235,10 @@ def test_subgroup_orders():
     assert subgroup_orders(make_field(2)) == [1]
 
 
+def _orbit_energy(G):
+    return subgroups._orbit_energy(G.ctx, np.asarray(G.elements.codes, dtype=np.int64))
+
+
 @pytest.mark.parametrize("pm", [(2, 3), (2, 10), (3, 5), (7, 4), (101, 1), (8191, 1)])
 def test_orbit_energy_matches_kernel(pm, monkeypatch):
     # every n | q - 1: G on both sides of the |G|^2 > q - 1 crossover, and
@@ -215,7 +257,7 @@ def test_orbit_energy_matches_kernel(pm, monkeypatch):
     for n in divisors(ctx.q - 1):
         G = nth_power_subgroup(ctx, n)
         expect = expected[n] = energy(G.elements).value
-        assert subgroups._orbit_energy(G) == expect
+        assert _orbit_energy(G) == expect
         before = len(kernel_calls)
         assert subgroup_additive_energy(G) == expect
         assert (len(kernel_calls) > before) == (G.order ** 2 <= ctx.q - 1)
@@ -224,7 +266,7 @@ def test_orbit_energy_matches_kernel(pm, monkeypatch):
     # the coset representatives above fit one block; split them into many
     monkeypatch.setattr(sets, "_BLOCK", 7)
     for n, expect in expected.items():
-        assert subgroups._orbit_energy(nth_power_subgroup(ctx, n)) == expect
+        assert _orbit_energy(nth_power_subgroup(ctx, n)) == expect
     assert subgroup_energy_exponent(nth_power_subgroup(ctx, 1)).value == \
         energy(nth_power_subgroup(ctx, 1).elements).value
 
@@ -235,4 +277,4 @@ def test_orbit_energy_validation():
         subgroup_additive_energy(SubgroupInfo(ESet(f7, [1, 2, 3, 4]), 4, 1))
     # a set that passes SubgroupInfo's checks but is not closed breaks the mass identity
     with pytest.raises(RuntimeError, match="add up"):
-        subgroups._orbit_energy(SubgroupInfo(ESet(f7, [1, 3, 4]), 3, 2))
+        subgroups._orbit_energy(f7, np.array([1, 3, 4]))
