@@ -655,11 +655,16 @@ class Field:
 
     @property
     def roots(self):
-        """Read-only complex array of exp(2*pi*i * k / p) for k < p (cached)."""
+        """Read-only complex array of exp(2*pi*i * k / p) for k < p (cached).
+
+        Raises ValueError for p > TABLE_LIMIT, where the table would not fit.
+        """
         try:
             return self._roots
         except AttributeError:
             pass
+        if self.p > TABLE_LIMIT:
+            raise ValueError(f"p = {self.p} exceeds TABLE_LIMIT = {TABLE_LIMIT}: no table of p roots")
         ang = 2.0 * np.pi * np.arange(self.p) / self.p
         self._roots = _read_only(np.cos(ang) + 1j * np.sin(ang))
         return self._roots

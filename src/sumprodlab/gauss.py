@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import _BLOCK, Field, _index, _read_only, factorize
+from .fields import _BLOCK, TABLE_LIMIT, Field, _index, _read_only, factorize
 from .sets import ESet
 from .subgroups import SubgroupInfo, _subgroup_energy
 
@@ -129,8 +129,16 @@ def _tables(ctx: Field, n: int) -> _Tables:
 
 
 def _char_sum_over_codes(ctx, form, codes):
-    """(sum of psi_a over codes, the traces Tr(a * code) it summed), form = ctx.trace_form(a)."""
+    """(sum of psi_a over codes, the traces Tr(a * code) it summed), form = ctx.trace_form(a).
+
+    For p up to TABLE_LIMIT the characters are read from ctx.roots.  Above
+    it exp(2*pi*i * k / p) is evaluated, by the same formula, on the summed
+    traces alone, since a table of p complex roots would not fit.
+    """
     tr = ctx.vtrace(codes, form=form)
+    if ctx.p > TABLE_LIMIT:
+        ang = 2.0 * np.pi * tr / ctx.p
+        return complex(np.sum(np.cos(ang) + 1j * np.sin(ang))), tr
     return complex(np.sum(ctx.roots[tr])), tr
 
 

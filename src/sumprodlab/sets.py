@@ -7,17 +7,30 @@ as it is when strictly increasing, sorted and deduplicated otherwise.  The
 set operations hand it their arrays.  All set operations return new ESets
 and require both operands to live in the same field.
 
-Set operations and energies rest on one pair count, _pair_counts, with
-four exact paths: prime-field sums and differences that split into two or
-more tiles add each pair of tiles' local sums into one count array at the
-tiles' offset, with no modulo per pair; sums and differences of large sets
-in GF(p^m), m > 1, multiply transforms over the group Z_p^m; every other
-count, products and sums alike, merges sorted blocks in fields above 2^22
-and when its pairs are few against q, and adds its blocks into q counts in
-place otherwise.  Prime fields have no FFT path, because a transform over a
-field near 10^6 needs more memory than the exact counts.
-Membership counts over many dilates (coset scans, triple covers) are row
-sums of np.isin over blocks of products, in _row_hits.
+Set operations and energies rest on one pair count, _pair_counts: how
+often each op(x, y) occurs over X x Y.  It converts its inputs, asks
+_choose_kernel which of four exact kernels to run, and runs it:
+
+- _tiled_counts ("tiles"): prime-field sums and differences, up to
+  TABLE_LIMIT, when [0, p) splits into nb >= 2 intervals of about _TILE
+  codes; each pair of intervals adds its local sums into one count array at
+  the intervals' offset, with no modulo per pair;
+- _transform_counts ("transform"): sums and differences in GF(p^m), m > 1,
+  with q*p <= _BLOCK, once the pairs outweigh _TRANSFORM_RATIO transforms
+  over the group Z_p^m; it returns None when its rounding is not exact, and
+  _pair_counts then counts with the merge or the dense count as it would for
+  a product;
+- _merge_counts ("merge"): any op, merging sorted blocks of pairs; chosen
+  above TABLE_LIMIT and when the pairs are few against q;
+- _dense_counts ("dense"): any op, adding blocks of pairs into one array of
+  q counts; chosen for the rest.
+
+Each kernel runs on any input it admits, whatever the chooser would pick,
+so tests and verify's oracle checks call each one directly.  Prime fields
+have no FFT path, because a transform over a field near 10^6 needs more
+memory than the exact counts.  Membership counts over many dilates (coset
+scans, triple covers) are row sums of np.isin over blocks of products, in
+_row_hits.
 """
 
 from __future__ import annotations
@@ -155,7 +168,7 @@ def _row_hits(ctx: Field, xs, ys, targets):
 def _tiled_counts(p: int, xs, ys, nb: int, negate: bool, same: bool):
     """Counts over Z_p of x + y, or of x - y when negate, for xs, ys in [0, p).
 
-    [0, p) is cut into nb >= 2 intervals of width w.  A pair of intervals
+    [0, p) is cut into nb >= 1 intervals of width w.  A pair of intervals
     (a, b) adds its local sums (x - aw) + (y - bw), or its local differences
     (x - aw) + (w - (y - bw)), all below 2w, by np.add.at into a view of one
     count array of p + 2w codes, at offset (a + b)w, or (a - b - 1)w, mod p.
@@ -229,8 +242,8 @@ def _transform_counts(ctx: Field, xa, ya, same: bool, negate: bool):
     once.  For p = 2 the transform is Walsh-Hadamard in int64, exact: values
     stay below q^3 <= 2^57 while q*p <= _BLOCK, and the inverse divides by q
     with a shift.  For odd p it is complex and the counts are rounded; None
-    is returned when a residual reaches 0.25, for the caller to count by
-    broadcast instead.
+    is returned when a residual reaches 0.25, for the caller to count with
+    the merge or the dense count instead.
     """
     q, m = ctx.q, ctx.m
     w = _dft(ctx)
@@ -258,28 +271,74 @@ def _transform_counts(ctx: Field, xa, ya, same: bool, negate: bool):
     return counts.astype(np.int64)
 
 
+def _merge_counts(ctx: Field, xa, ya, op):
+    """(values, counts) of op(x, y) over xa x ya: blocks of pairs merged into sorted values.
+
+    Any op and any q; what it holds grows with the distinct values, not with q.
+    """
+    values = counts = np.zeros(0, dtype=np.int64)
+    for z in _op_blocks(ctx, xa, ya, op):
+        values, counts = _merge(np.concatenate([values, z], axis=None),
+                                np.concatenate([counts, np.ones_like(z)], axis=None))
+    return values, counts
+
+
+def _dense_counts(ctx: Field, xa, ya, op):
+    """Counts over the q codes of op(x, y) over xa x ya, for q <= TABLE_LIMIT.
+
+    Any op; blocks of op(x, y) are added by np.add.at into one array of q
+    counts, so no second q-length array is made.
+    """
+    counts = np.zeros(ctx.q, dtype=np.int64)
+    for z in _op_blocks(ctx, xa, ya, op):
+        np.add.at(counts, z.ravel(), 1)
+    return counts
+
+
+def _tile_count(p: int, nx: int, ny: int) -> int:
+    """The tiles' nb for |X| = nx, |Y| = ny: min(ceil(p / _TILE), isqrt(nx*ny / _TILE)), at least 1.
+
+    Each interval is then at least about _TILE wide, and a pair of
+    intervals holds _TILE pairs on average.  The chooser takes the tiles
+    only at nb >= 2; the floor of 1 lets them run on any sizes when called.
+    """
+    return max(1, min(-(-p // _TILE), math.isqrt(nx * ny // _TILE)))
+
+
+def _choose_kernel(ctx: Field, op, nx: int, ny: int) -> str:
+    """The kernel _pair_counts runs for op over |X| = nx, |Y| = ny in ctx.
+
+    - "tiles": prime fields up to TABLE_LIMIT, vadd and vsub, when
+      nb = _tile_count(p, nx, ny) >= 2;
+    - "transform": m > 1, vadd and vsub, q*p <= _BLOCK and nx*ny*width
+      above _TRANSFORM_RATIO * m*p*q;
+    - "merge": every other count where q > TABLE_LIMIT, so that a count per
+      code would not fit, or where the pairs are few against q:
+      q > _MERGE_BASE + _MERGE_RATIO * nx*ny;
+    - "dense": the rest (products, and sums and differences that no kernel
+      above takes).
+
+    Products take neither of the first two, so the choice for Field.vmul is
+    the count that stands in for an inexact transform.
+    """
+    if op in (Field.vadd, Field.vsub):
+        if ctx.m == 1:
+            if ctx.q <= TABLE_LIMIT and _tile_count(ctx.p, nx, ny) >= 2:
+                return "tiles"
+        elif (ctx.q * ctx.p <= _BLOCK
+              and nx * ny * ctx.width > _TRANSFORM_RATIO * ctx.m * ctx.p * ctx.q):
+            return "transform"
+    if ctx.q > TABLE_LIMIT or ctx.q > _MERGE_BASE + _MERGE_RATIO * nx * ny:
+        return "merge"
+    return "dense"
+
+
 def _pair_counts(ctx: Field, xs, ys, op):
     """(values, counts): the distinct op(x, y) over xs x ys, ascending, and how often each occurs.
 
-    op is one of Field's array operations, called as op(ctx, x, y).  This is
-    the one place that picks a kernel, by the field, the op and the sizes:
-
-    - prime fields up to TABLE_LIMIT, vadd and vsub, when [0, p) splits into
-      nb = min(ceil(p / _TILE), isqrt(|X||Y| / _TILE)) >= 2 intervals, each
-      at least about _TILE wide, with _TILE pairs per pair of intervals on
-      average: _tiled_counts, which needs no modulo per pair and adds every
-      pair of intervals straight into one array of p + 2w counts (for the
-      sums of a set with itself, passed as the same object, it visits half
-      the tile pairs);
-    - m > 1, vadd and vsub, q*p <= _BLOCK and |X||Y|*width above
-      _TRANSFORM_RATIO * m*p*q: _transform_counts over Z_p^m, falling back
-      to the two paths below if its rounding is not exact;
-    - otherwise, q > TABLE_LIMIT, where a count per code would not fit, or
-      few pairs against q (q > _MERGE_BASE + _MERGE_RATIO * |X||Y|): blocks
-      of pairs go to a sorted merge;
-    - otherwise (products, and sums and differences that the kernels above
-      do not take): blocks of op(x, y) are added by np.add.at into one array
-      of q counts, so no second q-length array is made.
+    op is one of Field's array operations, called as op(ctx, x, y).  The
+    kernel is the one _choose_kernel names; when the transform's rounding
+    is not exact, the merge or the dense count takes over, as for a product.
 
     Prime fields have no FFT path: an rfft/irfft pair of length 2^21 (p near
     10^6) raised a process's peak memory from 35 MB to 123 MB, while the
@@ -287,25 +346,18 @@ def _pair_counts(ctx: Field, xs, ys, op):
     """
     xa = np.asarray(xs, dtype=np.int64)
     ya = np.asarray(ys, dtype=np.int64)
-    counts = None
-    if op in (Field.vadd, Field.vsub):
-        if ctx.m == 1:
-            nb = min(-(-ctx.p // _TILE), math.isqrt(xa.size * ya.size // _TILE))
-            if nb >= 2 and ctx.q <= TABLE_LIMIT:
-                counts = _tiled_counts(ctx.p, xa, ya, nb, op is Field.vsub, ys is xs)
-        elif (ctx.q * ctx.p <= _BLOCK and xa.size * ya.size * ctx.width
-              > _TRANSFORM_RATIO * ctx.m * ctx.p * ctx.q):
-            counts = _transform_counts(ctx, xa, ya, ys is xs, op is Field.vsub)
-    if counts is None:
-        if ctx.q > TABLE_LIMIT or ctx.q > _MERGE_BASE + _MERGE_RATIO * xa.size * ya.size:
-            values = counts = np.zeros(0, dtype=np.int64)
-            for z in _op_blocks(ctx, xa, ya, op):
-                values, counts = _merge(np.concatenate([values, z], axis=None),
-                                        np.concatenate([counts, np.ones_like(z)], axis=None))
-            return values, counts
-        counts = np.zeros(ctx.q, dtype=np.int64)
-        for z in _op_blocks(ctx, xa, ya, op):
-            np.add.at(counts, z.ravel(), 1)
+    same, negate = ys is xs, op is Field.vsub
+    kernel = _choose_kernel(ctx, op, xa.size, ya.size)
+    if kernel == "tiles":
+        counts = _tiled_counts(ctx.p, xa, ya, _tile_count(ctx.p, xa.size, ya.size), negate, same)
+    elif kernel == "transform":
+        counts = _transform_counts(ctx, xa, ya, same, negate)
+        if counts is None:
+            kernel = _choose_kernel(ctx, Field.vmul, xa.size, ya.size)
+    if kernel == "merge":
+        return _merge_counts(ctx, xa, ya, op)
+    if kernel == "dense":
+        counts = _dense_counts(ctx, xa, ya, op)
     values = np.flatnonzero(counts)
     return values, counts[values]
 

@@ -1,6 +1,11 @@
 """Self-verification suites: every fast path against a loop oracle or an
 exact identity.
 
+The oracle checks of energies and product sets also run each pair-count
+kernel of sets that admits an instance, whichever one sets' chooser would
+pick: the merge and the dense count always, and for sums the tiles (at two
+intervals) in prime fields and the Z_p^m transform where q*p <= _BLOCK.
+
 All randomness is drawn from fixed-seed generators, so a suite run is
 reproducible.  Check functions raise on the first violation and return the
 number of instances exercised (optionally with a detail string); run_suite
@@ -15,14 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import oracle
+from . import oracle, sets
 from .energy import (cauchy_schwarz_chain, energy, growth_chain_report,
                      make_triple_witness, pair_energy_bound_ratio,
                      plunnecke_ruzsa_check, product_shift_identity,
                      shifted_subgroup_ratio, triple_cover_count,
                      triple_cover_totals)
 from .families import draw_shift
-from .fields import divisors, make_field
+from .fields import _BLOCK, Field, divisors, make_field
 from .gauss import gauss_bounds_report, gauss_sum, gauss_sum_by_subgroup, subgroup_character_sum
 from .sets import ESet, coset_scan, product_set, shift
 from .subgroups import (difference_count, gcd_growth_condition,
@@ -92,6 +97,30 @@ def _sample_set(rng, ctx, size: int, nonzero: bool = False) -> ESet:
 
 def _pick(rng, seq):
     return seq[int(rng.integers(len(seq)))]
+
+
+def _every_kernel(ctx, A: ESet, B: ESet, op):
+    """(kernel, values, counts) from each pair-count kernel that admits op over A x B.
+
+    op is Field.vadd or Field.vmul.  The merge and the dense count take
+    both; sums also go to the tiles at nb = 2 in prime fields, and to the
+    Z_p^m transform for m > 1 and q*p <= _BLOCK, where an inexact rounding
+    raises.
+    """
+    xa = np.asarray(A.codes, dtype=np.int64)
+    ya = np.asarray(B.codes, dtype=np.int64)
+    full = {"dense": sets._dense_counts(ctx, xa, ya, op)}
+    if op is Field.vadd and ctx.m == 1:
+        full["tiles"] = sets._tiled_counts(ctx.p, xa, ya, 2, False, False)
+    elif op is Field.vadd and ctx.q * ctx.p <= _BLOCK:
+        full["transform"] = sets._transform_counts(ctx, xa, ya, False, False)
+        if full["transform"] is None:
+            raise RuntimeError(f"transform rounding inexact in {ctx!r}")
+    runs = [("merge", *sets._merge_counts(ctx, xa, ya, op))]
+    for kernel, counts in full.items():
+        values = np.flatnonzero(counts)
+        runs.append((kernel, values, counts[values]))
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +348,7 @@ def check_shifted_subgroup_ratio(max_q):
 
 
 def check_energy_vs_oracle(max_q):
-    """Histogram energies equal the quadruple-loop oracle, both kinds."""
+    """Histogram energies equal the quadruple-loop oracle, both kinds, by every admitting kernel."""
     rng = _rng(1)
     primes = [f for f in _prime_power_fields(min(max_q, 512), ms={1}) if f[0] >= 5]
     exts = _prime_power_fields(min(max_q, 512), ms={2, 3, 4})
@@ -339,11 +368,15 @@ def check_energy_vs_oracle(max_q):
         slow = oracle.energy_brute(A, B, kind)
         if fast != slow:
             raise RuntimeError(f"{kind} energy mismatch in {ctx!r}: {fast} != {slow}")
+        op = Field.vadd if kind == "additive" else Field.vmul
+        for kernel, _, counts in _every_kernel(ctx, A, B, op):
+            if int(counts @ counts) != slow:
+                raise RuntimeError(f"{kind} energy by the {kernel} kernel mismatch in {ctx!r}")
     return 200
 
 
 def check_product_set_vs_oracle(max_q):
-    """Fast product sets equal the loop-and-dedup oracle."""
+    """Fast product sets equal the loop-and-dedup oracle, by every admitting kernel."""
     rng = _rng(14)
     fields = _prime_power_fields(min(max_q, 512))
     for _ in range(150):
@@ -352,8 +385,12 @@ def check_product_set_vs_oracle(max_q):
         hi = min(20, ctx.q)
         A = _sample_set(rng, ctx, int(rng.integers(1, hi + 1)))
         B = _sample_set(rng, ctx, int(rng.integers(1, hi + 1)))
-        if list(product_set(A, B).codes) != oracle.product_set_brute(A, B):
+        slow = oracle.product_set_brute(A, B)
+        if list(product_set(A, B).codes) != slow:
             raise RuntimeError(f"product set mismatch in {ctx!r}")
+        for kernel, values, _ in _every_kernel(ctx, A, B, Field.vmul):
+            if values.tolist() != slow:
+                raise RuntimeError(f"product set by the {kernel} kernel mismatch in {ctx!r}")
     return 150
 
 

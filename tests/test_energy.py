@@ -115,14 +115,11 @@ def test_sorted_merge_above_dense_limit(pm, block, monkeypatch):
 
 @pytest.mark.parametrize("side", ["merge", "dense", None])
 @pytest.mark.parametrize("pm", [(7, 1), (1031, 1), (2, 5), (3, 4), (8191, 1), (2, 14), (1000003, 1)])
-def test_few_pairs_merge_condition(pm, side, monkeypatch):
+def test_few_pairs_merge_condition(pm, side, force_kernel, monkeypatch):
     # below TABLE_LIMIT, pairs no sum kernel takes merge when few against q;
-    # both sides of the condition give the oracle's answers
-    if side == "merge":
-        monkeypatch.setattr(sets, "_MERGE_BASE", 0)
-        monkeypatch.setattr(sets, "_MERGE_RATIO", 0)
-    elif side == "dense":
-        monkeypatch.setattr(sets, "_MERGE_BASE", 2 ** 62)
+    # both kernels, forced for every op, give the oracle's answers
+    if side is not None:
+        force_kernel(side, (Field.vadd, Field.vsub, Field.vmul))
     merged = []
     real = sets._merge
     monkeypatch.setattr(sets, "_merge", lambda v, c: merged.append(v.size) or real(v, c))
@@ -140,7 +137,10 @@ def test_few_pairs_merge_condition(pm, side, monkeypatch):
             assert energy(X, Y, kind=kind).value == oracle.energy_brute(X, Y, kind, budget)
         assert list(sum_set(X, Y).codes) == sorted({ctx.add(a, b) for a in X for b in Y})
         assert list(difference_set(X, Y).codes) == sorted({ctx.sub(a, b) for a in X for b in Y})
-        few = q > sets._MERGE_BASE + sets._MERGE_RATIO * len(X) * len(Y)
+        if side is None:
+            few = sets._choose_kernel(ctx, Field.vmul, len(X), len(Y)) == "merge"
+        else:
+            few = side == "merge"
         assert bool(merged) == few
         if side is None:  # fields up to 4096 codes always count densely; larger ones merge these
             assert few == (q > 4096)
@@ -168,13 +168,19 @@ def test_few_prime_pairs_merge_without_tiles(monkeypatch):
     assert tiled == []
 
 
+def _tiles_of_width(p, nx, ny, tile):
+    """The tiles' nb for |X| = nx, |Y| = ny had they a narrowest width of tile codes."""
+    return max(1, min(-(-p // tile), math.isqrt(nx * ny // tile)))
+
+
 @pytest.mark.parametrize("tile, block", [(1, None), (2, 7), (3, None), (5, 3), (None, None)])
-def test_tiled_prime_sums_and_differences(tile, block, monkeypatch):
-    # tiny tiles run many intervals, windows that wrap past p and row blocks
-    # inside a tile; at the default _TILE these small sets make no second
-    # tile and go to the merge or the dense count
+def test_tiled_prime_sums_and_differences(tile, block, force_kernel, monkeypatch):
+    # tiles of a tiny width run many intervals, windows that wrap past p and
+    # row blocks inside a tile; the callers, forced to the tiles, run them at
+    # the nb of their sizes.  With no width given, these small sets make no
+    # second tile and go to the merge or the dense count
     if tile is not None:
-        monkeypatch.setattr(sets, "_TILE", tile)
+        force_kernel("tiles")
     if block is not None:
         monkeypatch.setattr(sets, "_BLOCK", block)
     rng = random.Random(f"tiles:{tile}:{block}")
@@ -193,6 +199,11 @@ def test_tiled_prime_sums_and_differences(tile, block, monkeypatch):
                 assert values.dtype == counts.dtype == np.int64
                 expect = sorted(Counter(scalar(a, b) for a in A for b in B).items())
                 assert list(zip(values.tolist(), counts.tolist())) == expect
+                if tile is not None:
+                    xa, ya = (np.array(X.codes[::-1], dtype=np.int64) for X in (A, B))
+                    nb = _tiles_of_width(p, len(A), len(B), tile)
+                    got = sets._tiled_counts(p, xa, ya, nb, op is Field.vsub, False)
+                    assert [(v, c) for v, c in enumerate(got.tolist()) if c] == expect
             assert list(sum_set(A, B).codes) == sorted({ctx.add(a, b) for a in A for b in B})
             assert list(difference_set(A, B).codes) == sorted({ctx.sub(a, b) for a in A for b in B})
             for X, Y in ((A, B), (B, A), (A, A)):
@@ -226,12 +237,27 @@ def _transform_cases(ctx):
             (rng.sample(range(q), min(q, 9)), [0, q - 1])]
 
 
-@pytest.mark.parametrize("ratio", [0, math.inf])
 @pytest.mark.parametrize("pm", TRANSFORM_FIELDS)
-def test_transform_pair_counts(pm, ratio, monkeypatch):
-    # ratio 0 sends every nonempty sum and difference through the transform,
-    # infinity sends none to it; both must give the literal counts
-    monkeypatch.setattr(sets, "_TRANSFORM_RATIO", ratio)
+def test_transform_counts_match_loop(pm):
+    # the kernel itself: one set or two, sums and differences, over all q codes
+    ctx = make_field(*pm)
+    for xs, ys in _transform_cases(ctx):
+        xa, ya = (np.array(v, dtype=np.int64) for v in (xs, ys))
+        for op, scalar in ((Field.vadd, ctx.add), (Field.vsub, ctx.sub)):
+            for y_codes, same in ((ya, False), (xa, True)):
+                got = sets._transform_counts(ctx, xa, y_codes, same, op is Field.vsub)
+                assert got.dtype == np.int64
+                pairs = Counter(scalar(x, y) for x in xa.tolist() for y in y_codes.tolist())
+                assert got.tolist() == [pairs[v] for v in range(ctx.q)]
+
+
+# ids: the transform ratio each choice stands for, 0 sending every nonempty
+# sum and difference through the transform and infinity none
+@pytest.mark.parametrize("kernel", ["transform", "count"], ids=["0", "inf"])
+@pytest.mark.parametrize("pm", TRANSFORM_FIELDS)
+def test_transform_pair_counts(pm, kernel, force_kernel, monkeypatch):
+    # both choices must give the literal counts
+    force_kernel(kernel)
     calls = _spy_transform(monkeypatch)
     ctx = make_field(*pm)
     budget = oracle.OracleBudget(max_q=ctx.q)
@@ -249,27 +275,35 @@ def test_transform_pair_counts(pm, ratio, monkeypatch):
             if len(X) * len(Y) <= 100:
                 assert value == oracle.energy_brute(X, Y, "additive", budget)
     # per case: three (X, Y) orders, each with vadd, vsub and the energy
-    assert len(calls) == (9 * len(cases) if ratio == 0 else 0)
+    assert len(calls) == (9 * len(cases) if kernel == "transform" else 0)
     assert all(out is not None for _, out in calls)
-    assert any(same for (_, _, _, same, _), _ in calls) == (ratio == 0)
+    assert any(same for (_, _, _, same, _), _ in calls) == (kernel == "transform")
 
 
-@pytest.mark.parametrize("pm", [(3, 2), (5, 3), (7, 2)])
-def test_transform_rounding_falls_back(pm, monkeypatch):
+@pytest.mark.parametrize("pm", [(3, 2), (5, 3), (7, 2), (3, 9)])
+def test_transform_rounding_falls_back(pm, force_kernel, monkeypatch):
     # a transform matrix off by 0.3 cannot round to the counts: the kernel
-    # must see the residual and count by broadcast, with identical results
+    # must see the residual, and _pair_counts count with the kernel the
+    # chooser names for a product instead (the merge in GF(3^9), the dense
+    # count in the smaller fields), with identical results
     ctx = make_field(*pm)
     cases = _transform_cases(ctx)
     A, B = S(ctx, cases[2][0]), S(ctx, cases[2][1])
     ops = (Field.vadd, Field.vsub)
-    monkeypatch.setattr(sets, "_TRANSFORM_RATIO", math.inf)
+    force_kernel("count")
     exact = [sets._pair_counts(ctx, A.codes, Y.codes, op) for Y in (A, B) for op in ops]
-    monkeypatch.setattr(sets, "_TRANSFORM_RATIO", 0)
+    force_kernel("transform")
     real = sets._dft
     monkeypatch.setattr(sets, "_dft", lambda ctx: real(ctx) + 0.3)
     calls = _spy_transform(monkeypatch)
+    ran = []
+    for kernel in ("merge", "dense"):
+        monkeypatch.setattr(sets, f"_{kernel}_counts", lambda *args, _kernel=kernel,
+                            _real=getattr(sets, f"_{kernel}_counts"): ran.append(_kernel) or _real(*args))
     got = [sets._pair_counts(ctx, A.codes, Y.codes, op) for Y in (A, B) for op in ops]
     assert len(calls) == 4 and all(out is None for _, out in calls)
+    assert ran == [sets._choose_kernel(ctx, Field.vmul, len(A), len(Y)) for Y in (A, B) for _ in ops]
+    assert ("merge" in ran) == (pm == (3, 9))
     for (v0, c0), (v1, c1) in zip(exact, got):
         assert v0.tolist() == v1.tolist() and c0.tolist() == c1.tolist()
     assert energy(A, B).value == oracle.energy_brute(A, B, "additive",
@@ -277,10 +311,12 @@ def test_transform_rounding_falls_back(pm, monkeypatch):
 
 
 def test_transform_needs_q_times_p_within_block(monkeypatch):
-    # q*p bounds the transform's arrays and the p = 2 values (q^3 <= 2^57)
-    monkeypatch.setattr(sets, "_TRANSFORM_RATIO", 0)
+    # q*p bounds the transform's arrays and the p = 2 values (q^3 <= 2^57):
+    # however many the pairs, the chooser takes the transform only within it
+    many = 1 << 40
     calls = _spy_transform(monkeypatch)
     ctx = make_field(2, 20)  # q*p = 2^21 > _BLOCK
+    assert sets._choose_kernel(ctx, Field.vadd, many, many) != "transform"
     A = S(ctx, [0, 1, 5, ctx.q - 1])
     assert energy(A).value == oracle.energy_brute(A, A, "additive",
                                                   oracle.OracleBudget(max_q=ctx.q))
@@ -288,10 +324,14 @@ def test_transform_needs_q_times_p_within_block(monkeypatch):
     monkeypatch.setattr(sets, "_BLOCK", 16)
     for pm, taken in (((2, 3), True), ((3, 2), False)):  # q*p = 16 and 27
         ctx = make_field(*pm)
+        assert (sets._choose_kernel(ctx, Field.vadd, many, many) == "transform") == taken
         A = S(ctx, [0, 1, 5, ctx.q - 1])
         assert energy(A).value == oracle.energy_brute(A, A, "additive")
-        assert bool(calls) == taken
-        calls.clear()
+        if taken:  # the int64 Walsh-Hadamard at q*p = _BLOCK is exact
+            xa = np.array(A.codes, dtype=np.int64)
+            pairs = Counter(ctx.add(x, y) for x in A for y in A)
+            got = sets._transform_counts(ctx, xa, xa, True, False)
+            assert got.tolist() == [pairs[v] for v in range(ctx.q)]
 
 
 def _pair_count_loop(ctx, A, B, w):
@@ -303,9 +343,12 @@ def _pair_count_loop(ctx, A, B, w):
 
 @pytest.mark.parametrize("tile", [3, None])
 @pytest.mark.parametrize("pm", [(101, 1), (10007, 1), (3, 4)])
-def test_chain_pair_count_matches_loop(pm, tile, monkeypatch):
-    if tile is not None:
-        monkeypatch.setattr(sets, "_TILE", tile)
+def test_chain_pair_count_matches_loop(pm, tile, force_kernel):
+    # with a tile width in a prime field, T's differences run through the
+    # tiles, and the tiles at the nb of that width count T on their own
+    tiled = tile is not None and pm[1] == 1
+    if tiled:
+        force_kernel("tiles")
     ctx = make_field(*pm)
     rng = random.Random(f"chain:{pm}")
     for _ in range(3):
@@ -315,7 +358,14 @@ def test_chain_pair_count_matches_loop(pm, tile, monkeypatch):
         aprime = sorted(ctx.add(a, d) for a in A)
         w = make_triple_witness(A, C, d, *rng.sample(aprime, 3))
         rec = cauchy_schwarz_chain(A, B, C, d, w)
-        assert rec.pair_count == _pair_count_loop(ctx, A, B, w)
+        expect = _pair_count_loop(ctx, A, B, w)
+        assert rec.pair_count == expect
+        if tiled:
+            ab = product_set(A, B)
+            xa, ya = (np.array(X.codes, dtype=np.int64) for X in (ab, dilate(ab, w.alpha)))
+            nb = _tiles_of_width(ctx.p, xa.size, ya.size, tile)
+            counts = sets._tiled_counts(ctx.p, xa, ya, nb, True, False)
+            assert int(counts[list(dilate(ab, w.beta).codes)].sum()) == expect
 
 
 def test_shifted_subgroup_ratio_frozen():

@@ -2,6 +2,7 @@ import ast
 import cmath
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from sumprodlab import gauss
 from sumprodlab.energy import energy
-from sumprodlab.fields import Field, divisors, make_field
+from sumprodlab.fields import TABLE_LIMIT, Field, divisors, make_field
 from sumprodlab.gauss import (GAUSS_CSV_HEADER, MAX_DIRECT_Q, GaussReport,
                               gauss_bounds_report, gauss_sum,
                               gauss_sum_by_subgroup, subgroup_character_sum)
@@ -100,6 +101,26 @@ def test_subgroup_sum_above_direct_guard():
     for a in (1, 5, ctx.q - 1):
         expect = sum(ctx.additive_char(a, x) for x in G.elements)
         assert abs(subgroup_character_sum(ctx, G, a) - expect) <= 1e-9
+
+
+@pytest.mark.parametrize("p, t", [(2 ** 31 - 1, 7), (4194319, 3)])
+def test_subgroup_sum_above_table_limit(p, t):
+    # above TABLE_LIMIT no table of p roots is built: the characters are
+    # evaluated on the summed traces, and roots refuses to allocate one
+    ctx = make_field(p)
+    assert ctx.p > TABLE_LIMIT
+    G = subgroup_of_order(ctx, t)
+    tracemalloc.start()
+    try:
+        for a in (1, 2, p - 1):
+            expect = sum(ctx.additive_char(a, x) for x in G.elements)
+            assert abs(subgroup_character_sum(ctx, G, a) - expect) <= 1e-9
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(ValueError, match="TABLE_LIMIT"):
+        ctx.roots
 
 
 def test_agreement_direct_vs_subgroup():

@@ -1,8 +1,10 @@
+import ast
 import math
 import random
 import tracemalloc
 import types
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,12 +120,12 @@ def test_extension_field_ops():
     assert product_set(nonzero, nonzero) == nonzero
 
 
-@pytest.mark.parametrize("ratio", [0, math.inf])
+# ids: the transform ratio each choice stands for, 0 sending every nonempty
+# sum and difference to the Z_p^m transform and infinity none
+@pytest.mark.parametrize("kernel", ["transform", "count"], ids=["0", "inf"])
 @pytest.mark.parametrize("pm", [(2, 2), (2, 9), (2, 14), (3, 2), (3, 9), (5, 3), (7, 2)])
-def test_extension_sum_and_difference_sets(pm, ratio, monkeypatch):
-    # ratio 0 counts every sum and difference by the Z_p^m transform,
-    # infinity by the broadcast pair count
-    monkeypatch.setattr(sets, "_TRANSFORM_RATIO", ratio)
+def test_extension_sum_and_difference_sets(pm, kernel, force_kernel):
+    force_kernel(kernel)
     ctx = F(*pm)
     rng = random.Random(f"sumsets:{pm}")
     q = ctx.q
@@ -135,12 +137,19 @@ def test_extension_sum_and_difference_sets(pm, ratio, monkeypatch):
         assert list(difference_set(X, Y).codes) == sorted({ctx.sub(a, b) for a in X for b in Y})
 
 
+def _tiles_of_width(p, nx, ny, tile):
+    """The tiles' nb for |X| = nx, |Y| = ny had they a narrowest width of tile codes."""
+    return max(1, min(-(-p // tile), math.isqrt(nx * ny // tile)))
+
+
 @pytest.mark.parametrize("tile", [1, 2, 3, 5])
-def test_symmetric_prime_tiles(tile, monkeypatch):
-    # the tiles run exactly when [0, p) splits into nb >= 2 intervals; then
-    # X + X passed as one object visits tile pairs b <= a only and doubles
-    # b < a, while an equal copy, and every difference, takes the full loop
-    monkeypatch.setattr(sets, "_TILE", tile)
+def test_symmetric_prime_tiles(tile, force_kernel, monkeypatch):
+    # at the nb that tiles of this width give, X + X passed as one object
+    # visits tile pairs b <= a only and doubles b < a, while an equal copy,
+    # and every difference, takes the full loop; with the chooser forced to
+    # the tiles, _pair_counts passes the same object as same=True and the
+    # nb of _tile_count
+    force_kernel("tiles")
     calls = []
     real = sets._tiled_counts
 
@@ -157,16 +166,20 @@ def test_symmetric_prime_tiles(tile, monkeypatch):
         cases += [rng.sample(range(p), min(p, rng.randint(2, 14))) + [0, p - 1] for _ in range(3)]
         for codes in cases:
             X = ESet(ctx, codes)
+            xa = np.array(X.codes, dtype=np.int64)
             copy = tuple(list(X.codes))
-            nb = min(-(-p // tile), math.isqrt(len(X) ** 2 // tile))
+            nb = _tiles_of_width(p, len(X), len(X), tile)
             routes.add(nb >= 2)
             for op, scalar in ((Field.vadd, ctx.add), (Field.vsub, ctx.sub)):
-                expect = sorted(Counter(scalar(a, b) for a in X for b in X).items())
+                pairs = Counter(scalar(a, b) for a in X for b in X)
+                for ys, same in ((xa, True), (xa.copy(), False)):
+                    got = real(p, xa, ys, nb, op is Field.vsub, same)
+                    assert got.tolist() == [pairs[v] for v in range(p)]
                 for ys, same in ((X.codes, True), (copy, False)):
                     del calls[:]
                     values, counts = sets._pair_counts(ctx, X.codes, ys, op)
-                    assert calls == ([(nb, same)] if nb >= 2 else [])
-                    assert list(zip(values.tolist(), counts.tolist())) == expect
+                    assert calls == [(sets._tile_count(p, len(X), len(X)), same)]
+                    assert list(zip(values.tolist(), counts.tolist())) == sorted(pairs.items())
             pairs = Counter(ctx.add(a, b) for a in X for b in X)
             assert energy(X).value == sum(c * c for c in pairs.values())
             assert energy(X, ESet(ctx, codes)).value == energy(X).value
@@ -189,17 +202,16 @@ class _RecordAddAt:
 
 
 def test_symmetric_tiles_visit_half_the_pairs(monkeypatch):
-    monkeypatch.setattr(sets, "_TILE", 1)
     spy = _RecordAddAt()
     monkeypatch.setattr(sets, "np", spy)
-    ctx = F(101)
-    X = ESet(ctx, range(0, 101, 3))
-    sets._pair_counts(ctx, X.codes, X.codes, Field.vadd)
+    xs = np.arange(0, 101, 3)
+    n = xs.size
+    nb = _tiles_of_width(101, n, n, 1)  # n intervals
+    sets._tiled_counts(101, xs, xs, nb, False, True)
     half = sum(spy.sizes)
     del spy.sizes[:]
-    sets._pair_counts(ctx, X.codes, tuple(list(X.codes)), Field.vadd)
-    n = len(X)
-    assert sum(spy.sizes) == n * n and half == n * (n + 1) // 2
+    sets._tiled_counts(101, xs, xs.copy(), nb, False, False)
+    assert nb == n and sum(spy.sizes) == n * n and half == n * (n + 1) // 2
 
 
 def _loop_counts(p, xs, ys, negate):
@@ -208,13 +220,14 @@ def _loop_counts(p, xs, ys, negate):
 
 
 @pytest.mark.parametrize("p", [5, 7])
-@pytest.mark.parametrize("nb", [2, 3])
+@pytest.mark.parametrize("nb", [1, 2, 3])
 def test_tiled_counts_every_pair_of_subsets(p, nb):
     # nb = 2 makes windows of 2w = p + 1 codes, longer than p, so local codes
-    # reach 2p - 1 before the fold; both ops, the same object and a copy
+    # reach 2p - 1 before the fold; nb = 1 is one window of 2p codes; both
+    # ops, the same object and a copy
     subsets = [np.array([c for c in range(p) if bits >> c & 1], dtype=np.int64)
                for bits in range(1 << p)]
-    assert nb > 2 or 2 * -(-p // nb) == p + 1
+    assert nb != 2 or 2 * -(-p // nb) == p + 1
     for xs in subsets:
         for ys in subsets:
             for negate in (False, True):
@@ -230,7 +243,8 @@ def test_tiled_counts_memory_stays_below_counts_and_one_block():
     p = 1000003
     rng = np.random.default_rng(7)
     xs = np.unique(rng.integers(0, p, 3000))
-    nb = min(-(-p // sets._TILE), math.isqrt(xs.size * xs.size // sets._TILE))
+    assert sets._choose_kernel(F(p), Field.vadd, xs.size, xs.size) == "tiles"
+    nb = sets._tile_count(p, xs.size, xs.size)
     assert nb >= 2
     w = -(-p // nb)
     tracemalloc.start()
@@ -250,7 +264,7 @@ def test_dense_count_memory_stays_below_two_count_arrays():
     rng = random.Random("dense-memory")
     xs = rng.sample(range(1, ctx.q), 400)
     ys = rng.sample(range(1, ctx.q), 400)
-    assert ctx.q <= sets._MERGE_BASE + sets._MERGE_RATIO * len(xs) * len(ys)  # not the merge
+    assert sets._choose_kernel(ctx, Field.vmul, len(xs), len(ys)) == "dense"
     tracemalloc.start()
     try:
         values, counts = sets._pair_counts(ctx, xs, ys, Field.vmul)
@@ -260,6 +274,102 @@ def test_dense_count_memory_stays_below_two_count_arrays():
     assert int(counts.sum()) == len(xs) * len(ys)
     assert values.tolist() == sorted({ctx.mul(x, y) for x in xs for y in ys})
     assert peak < 2 * 8 * ctx.q
+
+
+@pytest.mark.parametrize("pm", [(7, 1), (1031, 1), (3, 4), (2, 5)])
+def test_merge_and_dense_counts_match_loop(pm):
+    # both kernels take every op at any size, however few or many the pairs
+    ctx = F(*pm)
+    rng = random.Random(f"merge-dense:{pm}")
+    q = ctx.q
+    cases = [([0], [q - 1]), ([0, 1, q - 1], [1, q - 1]),
+             (rng.sample(range(q), min(q, 30)), rng.sample(range(q), min(q, 5)))]
+    for xs, ys in cases:
+        xa, ya = (np.array(v[::-1], dtype=np.int64) for v in (xs, ys))
+        for op, scalar in ((Field.vadd, ctx.add), (Field.vsub, ctx.sub), (Field.vmul, ctx.mul)):
+            expect = sorted(Counter(scalar(x, y) for x in xs for y in ys).items())
+            values, counts = sets._merge_counts(ctx, xa, ya, op)
+            assert values.dtype == counts.dtype == np.int64
+            assert list(zip(values.tolist(), counts.tolist())) == expect
+            dense = sets._dense_counts(ctx, xa, ya, op)
+            assert dense.shape == (q,)
+            assert [(v, c) for v, c in enumerate(dense.tolist()) if c] == expect
+
+
+def test_choose_kernel_boundaries():
+    # each condition of the chooser, walked from both sides
+    vadd, vsub, vmul = Field.vadd, Field.vsub, Field.vmul
+    choose = sets._choose_kernel
+    tile, limit, block = sets._TILE, fields.TABLE_LIMIT, sets._BLOCK
+    many = 1 << 40
+
+    # nb = 1 and 2, by the pairs: min(ceil(p / _TILE), isqrt(|X||Y| / _TILE))
+    big = F(1000003)
+    assert -(-big.p // tile) >= 2
+    nx = 2 * math.isqrt(tile)
+    ny = -(-4 * tile // nx)
+    assert sets._tile_count(big.p, nx, ny) == 2 and sets._tile_count(big.p, nx, ny - 1) == 1
+    for op in (vadd, vsub):
+        assert choose(big, op, nx, ny) == "tiles"
+        assert choose(big, op, nx, ny - 1) == "dense"
+    assert choose(big, vmul, nx, ny) == "dense"
+    # nb = 1 and 2, by the width: p <= _TILE never splits
+    below, above = F(65521), F(65537)
+    assert below.p <= tile < above.p <= 2 * tile
+    assert choose(below, vadd, many, many) == "dense"
+    assert choose(above, vadd, many, many) == "tiles"
+    # q = TABLE_LIMIT: tiles and dense counts at or below it, the merge above
+    assert F(4194301).q <= limit < F(4194319).q
+    assert choose(F(4194301), vsub, many, many) == "tiles"
+    assert choose(F(4194319), vsub, many, many) == "merge"
+    assert F(2, 22).q == limit
+    assert choose(F(2, 22), vmul, many, many) == "dense"
+    assert choose(F(4194319), vmul, many, many) == "merge"
+
+    # the transform ratio: |X||Y|*width against _TRANSFORM_RATIO * m*p*q,
+    # met with equality in GF(3^4)
+    ext = F(3, 4)
+    cost = sets._TRANSFORM_RATIO * ext.m * ext.p * ext.q
+    n = cost // ext.width
+    assert n * ext.width == cost
+    for op in (vadd, vsub):
+        assert choose(ext, op, 1, n) == "dense"
+        assert choose(ext, op, 1, n + 1) == "transform"
+    assert choose(ext, vmul, 1, n + 1) == "dense"
+    # q*p = _BLOCK
+    at, past = F(2, 19), F(2, 20)
+    assert at.q * at.p == block < past.q * past.p
+    assert choose(at, vadd, many, many) == "transform"
+    assert choose(past, vadd, many, many) == "dense"
+
+    # the few-pairs line: the merge while q > _MERGE_BASE + _MERGE_RATIO * |X||Y|
+    for ctx, op in ((big, vmul), (big, vadd), (F(3, 9), vmul), (F(2, 14), vsub)):
+        n = (ctx.q - sets._MERGE_BASE - 1) // sets._MERGE_RATIO
+        assert n >= 1
+        assert choose(ctx, op, 1, n) == "merge"
+        assert choose(ctx, op, 1, n + 1) == "dense"
+    assert choose(F(4093), vmul, 1, 1) == "dense"  # q <= _MERGE_BASE never merges
+
+
+def test_only_sets_and_verify_name_pair_count_kernels():
+    # the choice of a pair-count kernel stays in sets; verify alone also
+    # calls each kernel, to check it against the oracle
+    kernels = {"_choose_kernel", "_tiled_counts", "_transform_counts",
+               "_merge_counts", "_dense_counts"}
+    seen = {}
+    for path in sorted(Path(sets.__file__).parent.glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.ImportFrom)):
+                names.update([node.name] if isinstance(node, ast.FunctionDef)
+                             else [alias.name for alias in node.names])
+        seen[path.stem] = names & kernels
+    assert seen["sets"] == kernels and seen["verify"] >= kernels - {"_choose_kernel"}
+    assert {stem for stem, named in seen.items() if named} == {"sets", "verify"}
 
 
 def test_mixed_fields_rejected():

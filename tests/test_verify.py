@@ -2,7 +2,10 @@ import inspect
 
 import pytest
 
+from sumprodlab import sets
 from sumprodlab.verify import (SUITE_NAMES, SUITES, CheckResult, run_suite)
+
+KERNELS = ("_tiled_counts", "_transform_counts", "_merge_counts", "_dense_counts")
 
 
 def test_suite_names_frozen():
@@ -51,3 +54,43 @@ def test_failures_are_wrapped_not_raised(monkeypatch):
     assert len(results) == 1
     assert results[0].ok is False
     assert "forced" in results[0].detail
+
+
+def test_all_suite_reaches_every_pair_count_kernel(monkeypatch):
+    seen = set()
+    for name in KERNELS:
+        def spy(*args, _real=getattr(sets, name), _name=name):
+            if _name == "_transform_counts":
+                seen.add((_name, "p = 2" if args[0].p == 2 else "odd p"))
+            else:
+                seen.add(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(sets, name, spy)
+    results = run_suite("all", 512)
+    assert all(r.ok for r in results), [r.line() for r in results if not r.ok]
+    assert seen == {"_tiled_counts", "_merge_counts", "_dense_counts",
+                    ("_transform_counts", "p = 2"), ("_transform_counts", "odd p")}
+
+
+def _off_by_one(counts):
+    counts = counts.copy()
+    counts[counts.argmax()] += 1
+    return counts
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_oracle_suite_fails_on_a_broken_kernel(name, monkeypatch):
+    # each kernel is checked on its own, so one wrong count fails the energies
+    real = getattr(sets, name)
+    if name == "_merge_counts":
+        def broken(*args):
+            values, counts = real(*args)
+            return values, _off_by_one(counts)
+    else:
+        def broken(*args):
+            return _off_by_one(real(*args))
+    monkeypatch.setattr(sets, name, broken)
+    results = {r.name: r for r in run_suite("oracle", 512)}
+    assert not results["energy_vs_oracle"].ok
+    assert results["difference_count_vs_oracle"].ok
