@@ -1,11 +1,13 @@
 """Deterministic test-set families for sweeps and verification runs.
 
-Randomness policy: every random draw comes from a PCG64 generator seeded
-with SeedSequence(entropy=seed, spawn_key=(trial, stream)).  The sweep
-reserves stream 0 for the base set A, 1 for the shift d, 2 for B, 3 for C,
-so rows are reproducible independently of execution order or thread count.
-draw_shift is the one loop that draws a shift d with -d outside A, for
-the sweep and the verify checks alike.
+Randomness policy: every random draw comes from stream_rng(seed, *key), a
+PCG64 generator seeded with SeedSequence(entropy=seed, spawn_key=key).  The
+key is (trial, stream) for a sweep's sets, with stream 0 for the base set
+A, 1 for the shift d, 2 for B and 3 for C; (0xAD17,) for the sweep's oracle
+audit; and (tag,) for each verify check, under verify's fixed seed.  So
+every draw is reproducible independently of execution order or thread
+count.  draw_shift is the one loop that draws a shift d with -d outside A,
+for the sweep and the verify checks alike.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from .subgroups import subgroup_of_order
 FAMILIES = ("random", "subgroup", "shifted_subgroup", "interval", "geometric")
 
 
-def stream_rng(seed: int, trial: int, stream: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial, stream))
+def stream_rng(seed: int, *spawn_key: int) -> np.random.Generator:
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
     return np.random.Generator(np.random.PCG64(ss))
 
 

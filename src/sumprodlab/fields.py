@@ -10,16 +10,17 @@ Scalar mul in GF(p^m), m > 1, is one big-int product (Kronecker
 substitution): each code's digits are spread into s-bit lanes with
 s = bit_length((2m - 1)(p - 1)^2), the two ints are multiplied, and each
 high lane folds into the low lanes through a packed row of t^k mod the
-modulus.  No lane ever carries into the next, so the low lanes read off
-mod p give the product's code.  The array operations work digit by digit
-instead and share no code with it: vmul splits both code arrays into
-base-p digit rows, takes their product in digit form (_digit_product,
-the one array multiplication kernel, which also serves gauss's power
-tables) and packs the rows back into codes.  A square through that
-kernel forms each cross term once.  vtrace(x, a) gives Tr(a * x) from the
-quotients x // p^i, each its digit mod p, against the form
-(Tr(a * t^i))_{i<m}, since the trace is linear over GF(p), so it needs no
-array multiplication.
+modulus, m <= k <= 2m - 2.  Those rows are remainders by _poly_mod, the one
+polynomial remainder, which also serves the irreducibility test.  No lane
+ever carries into the next, so the low lanes read off mod p give the
+product's code.  The array operations work digit by digit instead and
+share no code with it: vmul splits both code arrays into base-p digit
+rows, takes their product in digit form (_digit_product, the one array
+multiplication kernel, which also serves gauss's power tables) and packs
+the rows back into codes.  A square through that kernel forms each cross
+term once.  vtrace(x, a) gives Tr(a * x) from the quotients x // p^i, each
+its digit mod p, against the form (Tr(a * t^i))_{i<m}, since the trace is
+linear over GF(p), so it needs no array multiplication.
 
 Scalar add and sub in GF(p^m), m > 1, share one base-p digit loop, as
 vadd and vsub share one digit pass; neg(x) is sub(0, x).
@@ -258,7 +259,8 @@ class Field:
         self.m = m
         self.q = q
         self.modulus = (0, 1) if m == 1 else smallest_irreducible(p, m)
-        self._red = self._reduction_rows() if m > 1 else None
+        # row k - m holds the coefficients of t^k mod the modulus, m <= k <= 2m - 2
+        self._red = [_poly_mod([0] * k + [1], self.modulus, p) for k in range(m, 2 * m - 1)]
         self._place = [p ** i for i in range(m)]
         if m > 1:
             self._pack_lanes()
@@ -271,20 +273,6 @@ class Field:
         # unlike the one large array of a prime field.
         self.width = 1 if m == 1 else 4 * (2 * m + 1)
         self._subfields = {}  # write-once, keyed by nu
-
-    def _reduction_rows(self):
-        # row k-m holds the coefficients of t^k mod modulus, m <= k <= 2m-2
-        p, m, f = self.p, self.m, self.modulus
-        base = [(-f[i]) % p for i in range(m)]
-        rows = [base]
-        for _ in range(m - 2):
-            prev = rows[-1]
-            top = prev[m - 1]
-            row = [0] + list(prev[: m - 1])
-            if top:
-                row = [(row[i] + top * base[i]) % p for i in range(m)]
-            rows.append(row)
-        return rows
 
     def _pack_lanes(self):
         # Scalar mul works on ints with one s-bit lane per base-p digit.  A
@@ -725,18 +713,15 @@ class Field:
 
         h = g^((q-1)/t) is a Python int and codes is the int64 array
         h^0, ..., h^(t-1) from generator_powers, checked to close (h^t = 1);
-        t must divide q - 1.  h is read from the generator-power table when
-        the field holds one, so a wrong table fails the check.
+        t must divide q - 1.  h is read off that array, codes[1] (codes[0]
+        = 1 when t = 1), so a wrong h or h^(t-1) in the generator-power
+        table fails the check.
         """
         n, k = self.q - 1, _index(t)
         if k is None or k < 1 or n % k != 0:
             raise ValueError(f"{t} does not divide q - 1 = {n}")
-        step = n // k
-        codes = self.generator_powers(k, step)
-        try:
-            h = int(self._generator_table[step % n])
-        except AttributeError:
-            h = self.pow(self.generator(), step)
+        codes = self.generator_powers(k, n // k)
+        h = int(codes[1 % k])
         if self.mul(int(codes[-1]), h) != 1:
             raise RuntimeError("subgroup enumeration did not close")
         return codes, h

@@ -37,6 +37,7 @@ import numpy as np
 from .fields import _BLOCK, TABLE_LIMIT, Field, _index, _read_only, factorize
 from .sets import ESet
 from .subgroups import SubgroupInfo, _subgroup_energy
+from .sweep import _fmt
 
 MAX_DIRECT_Q = 10 ** 6  # runtime guard for full-field summation
 
@@ -236,7 +237,7 @@ class GaussReport:
         vals = (self.q, self.p, self.m, self.n, self.a,
                 self.value.real, self.value.imag, self.magnitude, self.weil,
                 self.konyagin, self.paper_bound, self.ratio_weil, self.ratio_paper)
-        return [repr(v) if isinstance(v, float) else str(v) for v in vals]
+        return [_fmt(v) for v in vals]
 
     def as_dict(self):
         return {

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import _BLOCK, TABLE_LIMIT, Field, _index
+from .fields import _BLOCK, TABLE_LIMIT, Field, _index, divisors
 
 # Prime-field sum/difference tiles: the narrowest width and the fewest mean
 # pairs per pair of tiles.  Measured on a 2-vCPU Xeon in GF(1000003): halving
@@ -432,11 +432,7 @@ def coset_scan(S: ESet, threshold_exponent: float, base: str = "subfield_size"):
     ctx = S.ctx
     stats: list[CosetStat] = []
     ok = True
-    if ctx.m == 1:
-        return stats, ok
-    for nu in range(1, ctx.m):
-        if ctx.m % nu != 0:
-            continue
+    for nu in divisors(ctx.m)[:-1]:
         F = ctx.subfield(nu)
         reps = ctx.generator_powers((ctx.q - 1) // (ctx.p ** nu - 1))
         thr = float(len(F) if base == "subfield_size" else len(S)) ** threshold_exponent

@@ -15,9 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .energy import energy
 from .fields import Field, _index, divisors
-from .sets import ESet, _op_blocks, _same_field
+from .sets import ESet, _op_blocks, _pair_counts, _same_field
 
 # default exponents for the report-only power conditions
 GCD_CONDITION_DELTA = Fraction(119, 605)
@@ -61,8 +60,8 @@ def subgroup_additive_energy(G: SubgroupInfo) -> int:
 
     with r(0) = |G| when -1 lies in G and 0 otherwise, and r(c) the number
     of y in G with c - y in G: n|G| = q - 1 differences, looked up in a
-    membership mask, instead of |G|^2 pairs.  Below the crossover the energy
-    kernel is cheaper and counts the pairs.  The mass identity
+    membership mask, instead of |G|^2 pairs.  Below the crossover the pair
+    count of sets is cheaper and counts the pairs.  The mass identity
     r(0) + |G| * sum_j r(g^j) = |G|^2 is asserted.
     """
     ctx, t = G.ctx, G.order
@@ -72,10 +71,19 @@ def subgroup_additive_energy(G: SubgroupInfo) -> int:
 
 
 def _subgroup_energy(ctx: Field, codes) -> int:
-    """E+(G) from G's int64 codes, by the kernel or the orbits as subgroup_additive_energy says."""
-    if codes.size * codes.size <= ctx.q - 1:
-        return energy(ESet(ctx, codes), kind="additive").value
-    return _orbit_energy(ctx, codes)
+    """E+(G) from G's int64 codes, by the pair count or the orbits as
+    subgroup_additive_energy says; the codes never become Python ints.
+
+    The pair count's mass must be |G|^2, as energy asserts; its sum of
+    squares, at most |G|^4 <= (q - 1)^2 < 2^62, is exact in int64.
+    """
+    t = codes.size
+    if t * t > ctx.q - 1:
+        return _orbit_energy(ctx, codes)
+    counts = _pair_counts(ctx, codes, codes, Field.vadd)[1]
+    if int(counts.sum()) != t * t:
+        raise RuntimeError("histogram mass does not match |G|^2; counting bug")
+    return int(counts @ counts)
 
 
 def _orbit_energy(ctx: Field, codes) -> int:
@@ -149,10 +157,6 @@ class ConditionReport:
     pass_at_constant_one: bool
 
 
-def _proper_degrees(m):
-    return [nu for nu in range(1, m) if m % nu == 0]
-
-
 def gcd_growth_condition(ctx: Field, n: int,
                          delta: float = float(GCD_CONDITION_DELTA)) -> list[ConditionReport]:
     """gcd(n, (q-1)/(p^nu - 1)) against n^delta * q^(1-delta) / p^nu, per proper subfield.
@@ -165,7 +169,7 @@ def gcd_growth_condition(ctx: Field, n: int,
     if n is None or n < 1 or (ctx.q - 1) % n != 0:
         raise ValueError(f"n = {given} must divide q - 1 = {ctx.q - 1}")
     out = []
-    for nu in _proper_degrees(ctx.m):
+    for nu in divisors(ctx.m)[:-1]:
         lhs = float(math.gcd(n, (ctx.q - 1) // (ctx.p ** nu - 1)))
         rhs = n ** delta * ctx.q ** (1.0 - delta) / ctx.p ** nu
         out.append(ConditionReport(nu, lhs, rhs, lhs / rhs, lhs <= rhs))
@@ -181,7 +185,7 @@ def subfield_overlap_condition(G: SubgroupInfo,
     """
     ctx = G.ctx
     out = []
-    for nu in _proper_degrees(ctx.m):
+    for nu in divisors(ctx.m)[:-1]:
         lhs = float(_subfield_count(G, nu))
         rhs = len(G.elements) ** delta1
         out.append(ConditionReport(nu, lhs, rhs, lhs / rhs, lhs <= rhs))

@@ -181,8 +181,12 @@ def _build_instance(cfg: SweepConfig, ctx, size, trial):
 def _compute_row(cfg: SweepConfig, p, m, size, trial) -> ResultRow:
     t0 = time.perf_counter()
     ctx = make_field(p, m)
-    A, B, C, d = _build_instance(cfg, ctx, size, trial)
-    rep = growth_chain_report(A, B, C, d)
+    try:
+        A, B, C, d = _build_instance(cfg, ctx, size, trial)
+        rep = growth_chain_report(A, B, C, d)
+    except ValueError as exc:
+        raise ValueError(f"sweep cell {ctx!r}, family {cfg.family!r}, size {size}, "
+                         f"trial {trial}: {exc}") from exc
     n = len(A)
     maxkl = float(max(rep.K, rep.L))
     exponent = math.log(max(rep.ab_size, rep.shifted_product_size)) / math.log(n)
@@ -196,8 +200,7 @@ def _audit(cfg: SweepConfig, rows) -> None:
     """Recompute K and L for about 1% of rows with the loop oracle."""
     if not rows:
         return
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0xAD17,))))
+    rng = stream_rng(cfg.seed, 0xAD17)
     k = min(max(1, len(rows) // 100), len(rows))
     for i in rng.choice(len(rows), size=k, replace=False).tolist():
         row = rows[i]
@@ -213,7 +216,9 @@ def run_sweep(cfg: SweepConfig, threads: int = 1):
     """All rows of the sweep, sorted, audited, and written to cfg.outputs.
 
     With threads > 1 the cells are computed on a thread pool; the output is
-    byte-identical either way.
+    byte-identical either way.  A cell that cannot be built or reported
+    raises ValueError naming its field, family, size and trial, and nothing
+    is written: a CSV with missing rows would not be the sweep's.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")

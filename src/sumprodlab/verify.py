@@ -26,7 +26,7 @@ from .energy import (cauchy_schwarz_chain, energy, growth_chain_report,
                      plunnecke_ruzsa_check, product_shift_identity,
                      shifted_subgroup_ratio, triple_cover_count,
                      triple_cover_totals)
-from .families import draw_shift
+from .families import draw_shift, stream_rng
 from .fields import _BLOCK, Field, divisors, make_field
 from .gauss import gauss_bounds_report, gauss_sum, gauss_sum_by_subgroup, subgroup_character_sum
 from .sets import ESet, coset_scan, product_set, shift
@@ -52,8 +52,7 @@ class CheckResult:
 
 
 def _rng(tag: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=_SEED, spawn_key=(tag,))))
+    return stream_rng(_SEED, tag)
 
 
 def _primes_up_to(n: int):
@@ -430,10 +429,9 @@ def check_subfield_gcd(max_q):
         ctx = make_field(p, m)
         for nn in divisors(ctx.q - 1):
             G = nth_power_subgroup(ctx, nn)
-            for nu in range(1, m):
-                if m % nu == 0:
-                    subfield_intersection(G, nu)
-                    n += 1
+            for nu in divisors(m)[:-1]:
+                subfield_intersection(G, nu)
+                n += 1
     return n
 
 
@@ -449,7 +447,7 @@ def check_subfield_vs_brute(max_q):
         G = nth_power_subgroup(ctx, nn)
         if G.order > 512:
             continue
-        nu = _pick(rng, [v for v in range(1, m) if m % v == 0])
+        nu = _pick(rng, divisors(m)[:-1])
         exact, _ = subfield_intersection(G, nu)
         if exact != oracle.subfield_intersection_brute(G.elements, nu):
             raise RuntimeError(f"intersection oracle mismatch in {ctx!r}")
@@ -463,9 +461,7 @@ def check_coset_scan(max_q):
     n = 0
     for p, m in _prime_power_fields(min(max_q, 4096), ms={2, 3, 4})[:20]:
         ctx = make_field(p, m)
-        for nu in range(1, m):
-            if m % nu != 0:
-                continue
+        for nu in divisors(m)[:-1]:
             F = ctx.subfield(nu)
             _, ok_full = coset_scan(F, 1.0, base="subfield_size")
             if not ok_full:
@@ -493,7 +489,7 @@ def check_condition_reports(max_q):
     n = 0
     for p, m in _spread(_prime_power_fields(min(max_q, 4096), ms={2, 3, 4}), 10):
         ctx = make_field(p, m)
-        degrees = [v for v in range(1, m) if m % v == 0]
+        degrees = divisors(m)[:-1]
         for nn in _spread(divisors(ctx.q - 1), 6):
             rows = gcd_growth_condition(ctx, nn)
             if len(rows) != len(degrees):

@@ -1,8 +1,12 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+from sumprodlab import families
+from sumprodlab.cli import main
 from sumprodlab.families import (FAMILIES, generate_family,
                                  largest_subgroup_order, stream_rng)
 from sumprodlab.fields import make_field
@@ -67,6 +71,21 @@ def test_random_family_stream_determinism():
     r1 = stream_rng(9, 0, 0).integers(0, 1 << 30, size=4)
     r2 = stream_rng(9, 0, 0).integers(0, 1 << 30, size=4)
     assert (r1 == r2).all()
+
+
+def test_seeded_streams_and_csv_values_have_one_home_each():
+    # every generator is built by families.stream_rng, and every CSV value
+    # that repr writes goes through sweep._fmt
+    named, calls = set(), set()
+    for path in sorted(Path(families.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            # a Name's id, an Attribute's attr, an imported alias's name
+            if {getattr(node, f, None) for f in ("id", "attr", "name")} & {"SeedSequence", "PCG64"}:
+                named.add(path.stem)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "repr":
+                calls.add(path.stem)
+    assert named == {"families"}
+    assert calls == {"sweep"}
 
 
 def test_shifted_subgroup_drops_zero():
@@ -207,6 +226,31 @@ def test_sweep_random_d_exhaustion():
                                             trials=1))
     with pytest.raises(ValueError, match="no shift d"):
         run_sweep(cfg)
+
+
+@pytest.mark.parametrize("overrides, cell", [
+    # {1, -1} + 1 = {2, 0} in GF(10007), as q - 1 = 2 * 5003; 0 is dropped
+    (dict(fields=[[2, 12], [13, 3], [10007, 1]], family="shifted_subgroup",
+          sizes=[10, 30], trials=1, seed=7), "GF(10007), family 'shifted_subgroup', size 10"),
+    # q - 1 = 31 is prime, so the largest subgroup of order <= 2 is {1}
+    (dict(fields=[[2, 5]], family="subgroup", sizes=[2, 3], trials=1),
+     "GF(2^5), family 'subgroup', size 2"),
+])
+def test_sweep_names_a_too_small_cell(overrides, cell, tmp_path, capsys):
+    # the error names the first cell that fails and keeps its reason; the
+    # sweep writes no CSV, because one with missing rows would not be the sweep's
+    out = tmp_path / "rows.csv"
+    raw = base_config(outputs=str(out), **overrides)
+    message = f"sweep cell {cell}, trial 0: need at least two elements per set"
+    for threads in (1, 2):
+        with pytest.raises(ValueError) as err:
+            run_sweep(SweepConfig.from_dict(raw), threads=threads)
+        assert str(err.value) == message
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_run_sweep_thread_validation():

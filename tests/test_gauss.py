@@ -341,7 +341,9 @@ def test_gauss_sum_builds_no_subgroup(monkeypatch):
 
 def test_report_keeps_no_python_int_subgroup(monkeypatch):
     # G_n goes from the generator powers to E+(G_n) as one int64 array, with
-    # no ESet of Python ints on the way; only its codes and E+(G_n) are kept
+    # no ESet of Python ints on the way; only its codes and E+(G_n) are kept.
+    # In GF(8191), |G_2|^2 > q - 1 is counted over the orbits, while G_91
+    # (90 codes) and G_2730 (3 codes) have |G|^2 <= q - 1 and count pairs
     made = []
     real = ESet.__init__
 
@@ -349,15 +351,17 @@ def test_report_keeps_no_python_int_subgroup(monkeypatch):
         made.append(len(codes))
         real(self, ctx_, codes)
 
-    monkeypatch.setattr(ESet, "__init__", spy)
     ctx = make_field(8191)
-    rep = gauss_bounds_report(ctx, 2, 1)
-    assert made == []
-    monkeypatch.undo()
-    codes, e_g = gauss._tables(ctx, 2).subgroup
-    assert codes.dtype == np.int64 and not codes.flags.writeable
-    assert codes.tolist() == sorted(nth_power_subgroup(ctx, 2).elements.codes)
-    assert e_g == rep.group_energy
+    for n in (2, 91, 2730):
+        monkeypatch.setattr(ESet, "__init__", spy)
+        rep = gauss_bounds_report(ctx, n, 1)
+        assert made == []
+        monkeypatch.undo()
+        codes, e_g = gauss._tables(ctx, n).subgroup
+        assert codes.dtype == np.int64 and not codes.flags.writeable
+        G = nth_power_subgroup(ctx, n).elements
+        assert codes.tolist() == sorted(G.codes)
+        assert e_g == rep.group_energy == energy(G).value
 
 
 @pytest.mark.parametrize("pm, n", [((8191, 1), 3), ((3, 4), 4), ((2, 6), 9), ((7, 4), 2400)])

@@ -245,13 +245,14 @@ def test_orbit_energy_matches_kernel(pm, monkeypatch):
     # (for odd q) with -1 in G and not
     ctx = make_field(*pm)
     kernel_calls = []
-    real_energy = subgroups.energy
+    real_pair_counts = subgroups._pair_counts
 
-    def spy(*args, **kwargs):
-        kernel_calls.append(args)
-        return real_energy(*args, **kwargs)
+    def spy(ctx_, xs, ys, op):
+        assert xs is ys and xs.dtype == np.int64 and op is Field.vadd
+        kernel_calls.append(xs.size)
+        return real_pair_counts(ctx_, xs, ys, op)
 
-    monkeypatch.setattr(subgroups, "energy", spy)
+    monkeypatch.setattr(subgroups, "_pair_counts", spy)
     minus_one = set()
     expected = {}
     for n in divisors(ctx.q - 1):
@@ -278,3 +279,21 @@ def test_orbit_energy_validation():
     # a set that passes SubgroupInfo's checks but is not closed breaks the mass identity
     with pytest.raises(RuntimeError, match="add up"):
         subgroups._orbit_energy(f7, np.array([1, 3, 4]))
+
+
+def test_small_subgroup_energy_checks_the_pair_mass(monkeypatch):
+    # below the crossover E+(G) is the pair count's sum of squares, and a
+    # count that loses a pair fails the |G|^2 mass check, as energy's does
+    ctx = make_field(101)
+    codes = np.asarray(subgroup_of_order(ctx, 5).elements.codes, dtype=np.int64)
+    assert subgroups._subgroup_energy(ctx, codes) == energy(ESet(ctx, codes)).value
+    real = subgroups._pair_counts
+
+    def short(*args):
+        values, counts = real(*args)
+        counts[0] -= 1
+        return values, counts
+
+    monkeypatch.setattr(subgroups, "_pair_counts", short)
+    with pytest.raises(RuntimeError, match="mass"):
+        subgroups._subgroup_energy(ctx, codes)
