@@ -17,9 +17,8 @@ _choose_kernel which of four exact kernels to run, and runs it:
   the intervals' offset, with no modulo per pair;
 - _transform_counts ("transform"): sums and differences in GF(p^m), m > 1,
   with q*p <= _BLOCK, once the pairs outweigh _TRANSFORM_RATIO transforms
-  over the group Z_p^m; it returns None when its rounding is not exact, and
-  _pair_counts then counts with the merge or the dense count as it would for
-  a product;
+  over the group Z_p^m; the transform is exact in int64 for every p, since
+  it works mod a prime P > q with p | P - 1, so Z_P has p-th roots of unity;
 - _merge_counts ("merge"): any op, merging sorted blocks of pairs; chosen
   above TABLE_LIMIT and when the pairs are few against q;
 - _dense_counts ("dense"): any op, adding blocks of pairs into one array of
@@ -35,13 +34,14 @@ _row_hits.
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import _BLOCK, TABLE_LIMIT, Field, _index, divisors
+from .fields import _BLOCK, TABLE_LIMIT, Field, _index, _mod, divisors, is_prime
 
 # Prime-field sum/difference tiles: the narrowest width and the fewest mean
 # pairs per pair of tiles.  Measured on a 2-vCPU Xeon in GF(1000003): halving
@@ -53,7 +53,7 @@ _TILE = 1 << 16
 # The Z_p^m transform counts sums and differences once the broadcast's
 # |X||Y|*width exceeds this many times m*p*q: measured on a 2-vCPU Xeon, a
 # broadcast pair costs 0.7-0.9 ns per unit of width, and the three transforms
-# 6-18 ns per m*p*q for q from 512 to 19683 (the most in the smallest fields).
+# 3-27 ns per m*p*q for q from 512 to 19683 (the most in small binary fields).
 _TRANSFORM_RATIO = 16
 # Pairs that no kernel above takes go to a sorted merge instead of the dense
 # count over all q codes once q > _MERGE_BASE + _MERGE_RATIO * |X||Y|.
@@ -208,67 +208,69 @@ def _tiled_counts(p: int, xs, ys, nb: int, negate: bool, same: bool):
 
 
 def _dft(ctx: Field):
-    """The p x p transform matrix over Z_p: [[1, 1], [1, -1]] in int64 for p = 2,
-    the complex p-th roots of unity w[j, k] = exp(2*pi*i * jk / p) otherwise."""
+    """(w, w_inv, P): the p x p transform over Z_p and its inverse, mod a prime P.
+
+    P is the smallest prime above q with p | P - 1, so Z_P holds a p-th
+    root of unity omega = a^((P - 1)/p), for the first a >= 2 that makes
+    omega != 1.  w[j, k] = omega^(jk) and w_inv[j, k] = omega^(-jk) are int64,
+    each entry taken in (-P/2, P/2], so p = 2 gives [[1, 1], [1, -1]]; their
+    product is p times the identity mod P (Pollard, Math. Comp. 25, 1971).
+    """
     p = ctx.p
-    if p == 2:
-        return np.array([[1, 1], [1, -1]], dtype=np.int64)
-    k = np.arange(p)
-    return ctx.roots[np.outer(k, k) % p]
+    P = next(P for P in itertools.count(p * (ctx.q // p + 1) + 1, p) if is_prime(P))
+    omega = next(r for r in (pow(a, (P - 1) // p, P) for a in range(2, P)) if r != 1)
+    powers = [pow(omega, e, P) for e in range(p)]
+    powers = np.array([v - P if 2 * v > P else v for v in powers], dtype=np.int64)
+    jk = np.outer(np.arange(p), np.arange(p))
+    return powers[jk % p], powers[-jk % p], P
 
 
-def _transform(x, w, m, scratch):
-    """Apply w along each of the m digit axes of x (length p^m), in place.
+def _transform(x, w, m, P, scratch):
+    """Apply w along each of the m digit axes of x (length p^m) mod P, in place.
 
-    Each step applies w to the leading axis of x viewed as (p, p^(m-1)) and
-    writes the result back transposed, which rotates the digit axes; after
-    m steps every axis has been transformed once and they are back in order.
-    The product is an einsum, not a matmul: a complex matmul goes to BLAS,
-    whose first call alone raised a process's peak memory by 0.4 MB.
+    Each step applies w to the leading axis of x viewed as (p, p^(m-1)),
+    reduces mod P into [0, P) and writes the result back transposed, which
+    rotates the digit axes; after m steps every axis has been transformed
+    once and they are back in order.  A step sums p products of an entry of
+    w, at most P/2 in size, and one of x, in [0, P): below p*P^2/2, which
+    is under 2^39 for every field with q*p <= _BLOCK, so int64 is exact.
     """
     p = w.shape[0]
     for _ in range(m):
         np.einsum("jk,kn->jn", w, x.reshape(p, -1), out=scratch.reshape(p, -1))
-        x.reshape(-1, p)[...] = scratch.reshape(p, -1).T
+        x.reshape(-1, p)[...] = _mod(scratch, P).reshape(p, -1).T
     return x
 
 
 def _transform_counts(ctx: Field, xa, ya, same: bool, negate: bool):
-    """Counts over Z_p^m of x + y, or of x - y when negate, by transforms; None if inexact.
+    """Counts over Z_p^m of x + y, or of x - y when negate, by exact transforms mod P.
 
     A count is a convolution over the additive group Z_p^m, so it is the
     inverse transform of the product of the inputs' transforms (Tao-Vu,
-    Additive Combinatorics, ch. 4); same says ya is xa, which is transformed
-    once.  For p = 2 the transform is Walsh-Hadamard in int64, exact: values
-    stay below q^3 <= 2^57 while q*p <= _BLOCK, and the inverse divides by q
-    with a shift.  For odd p it is complex and the counts are rounded; None
-    is returned when a residual reaches 0.25, for the caller to count with
-    the merge or the dense count instead.
+    Additive Combinatorics, ch. 4).  That identity holds in Z_P as it does
+    over the complex numbers, with _dft's P and root omega; every count is
+    at most q < P, so its residue mod P is the count itself.  The sum of
+    one set with itself (same says ya is xa) squares that set's transform;
+    every other case multiplies it by the transform of Y, or of -Y for
+    differences.  The inverse transform times q^(-1) mod P gives the counts.
     """
     q, m = ctx.q, ctx.m
-    w = _dft(ctx)
-    scratch = np.empty(q, dtype=w.dtype)
-    fx = np.zeros(q, dtype=w.dtype)
+    w, w_inv, P = _dft(ctx)
+    scratch = np.empty(q, dtype=np.int64)
+    fx = np.zeros(q, dtype=np.int64)
     np.add.at(fx, xa, 1)
-    _transform(fx, w, m, scratch)
-    if same:
-        fx *= fx.conj() if negate else fx  # the transform of -X conjugates that of X
+    _transform(fx, w, m, P, scratch)
+    if same and not negate:
+        fx *= fx
     else:
-        fy = np.zeros(q, dtype=w.dtype)
+        fy = np.zeros(q, dtype=np.int64)
         np.add.at(fy, ctx.vsub(0, ya) if negate else ya, 1)
-        fx *= _transform(fy, w, m, scratch)
+        fx *= _transform(fy, w, m, P, scratch)
         del fy
-    _transform(fx, w.conj(), m, scratch)
+    _transform(_mod(fx, P), w_inv, m, P, scratch)
     del scratch
-    if ctx.p == 2:
-        return fx >> m
-    fx /= q
-    counts = np.rint(fx.real)
-    fx.real -= counts
-    if np.abs(fx).max() >= 0.25:
-        return None
-    del fx
-    return counts.astype(np.int64)
+    fx *= pow(q, -1, P)
+    return _mod(fx, P)
 
 
 def _merge_counts(ctx: Field, xa, ya, op):
@@ -311,15 +313,13 @@ def _choose_kernel(ctx: Field, op, nx: int, ny: int) -> str:
     - "tiles": prime fields up to TABLE_LIMIT, vadd and vsub, when
       nb = _tile_count(p, nx, ny) >= 2;
     - "transform": m > 1, vadd and vsub, q*p <= _BLOCK and nx*ny*width
-      above _TRANSFORM_RATIO * m*p*q;
+      above _TRANSFORM_RATIO * m*p*q; it is exact mod a prime P > q, so
+      q*p <= _BLOCK bounds only its memory;
     - "merge": every other count where q > TABLE_LIMIT, so that a count per
       code would not fit, or where the pairs are few against q:
       q > _MERGE_BASE + _MERGE_RATIO * nx*ny;
     - "dense": the rest (products, and sums and differences that no kernel
       above takes).
-
-    Products take neither of the first two, so the choice for Field.vmul is
-    the count that stands in for an inexact transform.
     """
     if op in (Field.vadd, Field.vsub):
         if ctx.m == 1:
@@ -337,8 +337,8 @@ def _pair_counts(ctx: Field, xs, ys, op):
     """(values, counts): the distinct op(x, y) over xs x ys, ascending, and how often each occurs.
 
     op is one of Field's array operations, called as op(ctx, x, y).  The
-    kernel is the one _choose_kernel names; when the transform's rounding
-    is not exact, the merge or the dense count takes over, as for a product.
+    kernel is the one _choose_kernel names; every kernel is exact, the
+    transform included, since it counts mod a prime P > q.
 
     Prime fields have no FFT path: an rfft/irfft pair of length 2^21 (p near
     10^6) raised a process's peak memory from 35 MB to 123 MB, while the
@@ -352,11 +352,9 @@ def _pair_counts(ctx: Field, xs, ys, op):
         counts = _tiled_counts(ctx.p, xa, ya, _tile_count(ctx.p, xa.size, ya.size), negate, same)
     elif kernel == "transform":
         counts = _transform_counts(ctx, xa, ya, same, negate)
-        if counts is None:
-            kernel = _choose_kernel(ctx, Field.vmul, xa.size, ya.size)
-    if kernel == "merge":
+    elif kernel == "merge":
         return _merge_counts(ctx, xa, ya, op)
-    if kernel == "dense":
+    else:
         counts = _dense_counts(ctx, xa, ya, op)
     values = np.flatnonzero(counts)
     return values, counts[values]

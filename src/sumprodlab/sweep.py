@@ -20,7 +20,7 @@ import numpy as np
 
 from .energy import growth_chain_report
 from .families import FAMILIES, draw_shift, generate_family, stream_rng
-from .fields import make_field
+from .fields import _index, make_field
 from .oracle import OracleBudget, product_set_brute
 from .sets import ESet, shift
 
@@ -59,6 +59,9 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepConfig":
+        """Validate raw, a JSON object; every malformed value raises ValueError naming its key."""
+        if not isinstance(raw, dict):
+            raise ValueError(f"a sweep config is a JSON object, got {raw!r}")
         keys = set(raw)
         unknown = sorted(keys - _REQUIRED_KEYS - _OPTIONAL_KEYS)
         if unknown:
@@ -67,31 +70,32 @@ class SweepConfig:
         if missing:
             raise ValueError(f"missing config keys: {missing}")
         fields = []
-        for entry in raw["fields"]:
-            pm = tuple(int(v) for v in entry)
-            if len(pm) != 2:
+        for entry in _list(raw, "fields"):
+            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
                 raise ValueError(f"field entries are [p, m] pairs, got {entry!r}")
-            fields.append(pm)
+            fields.append(tuple(_integer("fields", v) for v in entry))
         if not fields:
             raise ValueError("fields must be nonempty")
         family = raw["family"]
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-        sizes = tuple(int(s) for s in raw["sizes"])
+        sizes = tuple(_integer("sizes", s) for s in _list(raw, "sizes"))
         if not sizes or any(s < 2 for s in sizes):
             raise ValueError("sizes must be a nonempty list of integers >= 2")
-        trials = int(raw["trials"])
+        trials = _integer("trials", raw["trials"])
         if trials < 1:
             raise ValueError("trials must be >= 1")
-        seed = int(raw["seed"])
+        seed = _integer("seed", raw["seed"])
         if seed < 0:
             raise ValueError("seed must be nonnegative")
         d_policy = raw["d_policy"]
         if d_policy != "random_nonzero":
-            d_policy = int(d_policy)
+            d_policy = _integer("d_policy", d_policy)
             if d_policy < 1:
                 raise ValueError("a fixed d must be a positive element code")
-        outputs = str(raw["outputs"])
+        outputs = raw["outputs"]
+        if not isinstance(outputs, str):
+            raise ValueError(f"outputs must be a path string, got {outputs!r}")
         preset = raw.get("preset")
         if preset is not None and preset not in PRESETS:
             raise ValueError(f"unknown preset {preset!r}; expected one of {PRESETS}")
@@ -110,8 +114,28 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, path) -> "SweepConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"cannot read sweep config {str(path)!r}: {exc.strerror or exc}") from exc
+        return cls.from_dict(raw)
+
+
+def _integer(key, value) -> int:
+    """value as an int; bools, floats and strings raise ValueError naming key."""
+    v = _index(value)
+    if v is None:
+        raise ValueError(f"{key} takes integers, got {value!r}")
+    return v
+
+
+def _list(raw, key) -> list:
+    """raw[key], which must be a list."""
+    value = raw[key]
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key} must be a list, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

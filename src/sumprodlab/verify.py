@@ -4,7 +4,8 @@ exact identity.
 The oracle checks of energies and product sets also run each pair-count
 kernel of sets that admits an instance, whichever one sets' chooser would
 pick: the merge and the dense count always, and for sums the tiles (at two
-intervals) in prime fields and the Z_p^m transform where q*p <= _BLOCK.
+intervals) in prime fields and, where q*p <= _BLOCK, the Z_p^m transform,
+which counts exactly mod a prime P > q with p | P - 1.
 
 All randomness is drawn from fixed-seed generators, so a suite run is
 reproducible.  Check functions raise on the first violation and return the
@@ -103,8 +104,7 @@ def _every_kernel(ctx, A: ESet, B: ESet, op):
 
     op is Field.vadd or Field.vmul.  The merge and the dense count take
     both; sums also go to the tiles at nb = 2 in prime fields, and to the
-    Z_p^m transform for m > 1 and q*p <= _BLOCK, where an inexact rounding
-    raises.
+    Z_p^m transform, exact mod a prime P > q, for m > 1 and q*p <= _BLOCK.
     """
     xa = np.asarray(A.codes, dtype=np.int64)
     ya = np.asarray(B.codes, dtype=np.int64)
@@ -113,8 +113,6 @@ def _every_kernel(ctx, A: ESet, B: ESet, op):
         full["tiles"] = sets._tiled_counts(ctx.p, xa, ya, 2, False, False)
     elif op is Field.vadd and ctx.q * ctx.p <= _BLOCK:
         full["transform"] = sets._transform_counts(ctx, xa, ya, False, False)
-        if full["transform"] is None:
-            raise RuntimeError(f"transform rounding inexact in {ctx!r}")
     runs = [("merge", *sets._merge_counts(ctx, xa, ya, op))]
     for kernel, counts in full.items():
         values = np.flatnonzero(counts)

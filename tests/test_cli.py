@@ -133,6 +133,26 @@ def test_sweep_cli(tmp_path, capsys):
     assert payload["rows"] == 2 and "fit" in payload
 
 
+def test_sweep_cli_malformed_config_exits_2(tmp_path, capsys):
+    # non-objects, non-integers, strings for lists and a missing file are
+    # usage errors: exit 2 with a message, no traceback and no rows
+    good = {"fields": [[13, 1]], "family": "geometric", "sizes": [3, 6],
+            "trials": 1, "seed": 7, "d_policy": 1, "outputs": ""}
+    cases = [(5, "JSON object"), (None, "JSON object"),
+             (dict(good, sizes="34"), "sizes must be a list"),
+             (dict(good, fields=[[7.9, 1]]), "fields takes integers"),
+             (dict(good, trials=1.5), "trials takes integers"),
+             (dict(good, seed=True), "seed takes integers"),
+             (dict(good, d_policy=1.9), "d_policy takes integers")]
+    cfg_path = tmp_path / "cfg.json"
+    for raw, message in cases:
+        cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+        code, out, err = run(capsys, "sweep", "--config", str(cfg_path))
+        assert code == 2 and out == "" and err.startswith("error: ") and message in err
+    code, out, err = run(capsys, "sweep", "--config", str(tmp_path / "missing.json"))
+    assert code == 2 and out == "" and "cannot read sweep config" in err
+
+
 def test_verify_cli(capsys):
     code, out, _ = run(capsys, "verify", "gauss", "--max-q", "128")
     assert code == 0

@@ -15,7 +15,7 @@ from sumprodlab.energy import (KINDS, EnergyReport, cauchy_schwarz_chain, energy
                                pair_energy_bound_ratio, plunnecke_ruzsa_check,
                                product_shift_identity, shifted_subgroup_ratio,
                                triple_cover_count, triple_cover_totals)
-from sumprodlab.fields import TABLE_LIMIT, Field, make_field
+from sumprodlab.fields import TABLE_LIMIT, Field, is_prime, make_field
 from sumprodlab.sets import ESet, difference_set, dilate, product_set, sum_set
 
 
@@ -280,39 +280,47 @@ def test_transform_pair_counts(pm, kernel, force_kernel, monkeypatch):
     assert any(same for (_, _, _, same, _), _ in calls) == (kernel == "transform")
 
 
-@pytest.mark.parametrize("pm", [(3, 2), (5, 3), (7, 2), (3, 9)])
-def test_transform_rounding_falls_back(pm, force_kernel, monkeypatch):
-    # a transform matrix off by 0.3 cannot round to the counts: the kernel
-    # must see the residual, and _pair_counts count with the kernel the
-    # chooser names for a product instead (the merge in GF(3^9), the dense
-    # count in the smaller fields), with identical results
+def _largest_transform_field(p):
+    """(p, m) for the largest m with q*p <= _BLOCK."""
+    m = 1
+    while p ** (m + 2) <= sets._BLOCK:
+        m += 1
+    return p, m
+
+
+@pytest.mark.parametrize("p", [p for p in range(2, 102) if is_prime(p)])
+def test_dft_is_a_transform_mod_a_prime(p):
+    # P is a prime above q with p | P - 1; w and w_inv are inverse up to p,
+    # and a transform step's values fit in int64 with room to spare
+    ctx = make_field(*_largest_transform_field(p))
+    w, w_inv, P = sets._dft(ctx)
+    assert is_prime(P) and P > ctx.q and (P - 1) % p == 0
+    assert w.dtype == w_inv.dtype == np.int64 and w.shape == w_inv.shape == (p, p)
+    assert (2 * np.abs(w) <= P).all() and (2 * np.abs(w_inv) <= P).all()
+    product = w.astype(object).dot(w_inv.astype(object)) % P
+    assert (product == p * np.eye(p, dtype=np.int64)).all()
+    assert p * P * P // 2 < 2 ** 39  # _transform's bound, far inside int64
+    if p == 2:
+        assert w.tolist() == w_inv.tolist() == [[1, 1], [1, -1]]
+
+
+@pytest.mark.parametrize("pm", [(2, 19), (3, 11), (7, 6), (101, 2)])
+def test_transform_whole_field_counts(pm):
+    # X = Y = the whole field: every sum and every difference occurs q times,
+    # the largest count any input makes, at the largest q the chooser admits
     ctx = make_field(*pm)
-    cases = _transform_cases(ctx)
-    A, B = S(ctx, cases[2][0]), S(ctx, cases[2][1])
-    ops = (Field.vadd, Field.vsub)
-    force_kernel("count")
-    exact = [sets._pair_counts(ctx, A.codes, Y.codes, op) for Y in (A, B) for op in ops]
-    force_kernel("transform")
-    real = sets._dft
-    monkeypatch.setattr(sets, "_dft", lambda ctx: real(ctx) + 0.3)
-    calls = _spy_transform(monkeypatch)
-    ran = []
-    for kernel in ("merge", "dense"):
-        monkeypatch.setattr(sets, f"_{kernel}_counts", lambda *args, _kernel=kernel,
-                            _real=getattr(sets, f"_{kernel}_counts"): ran.append(_kernel) or _real(*args))
-    got = [sets._pair_counts(ctx, A.codes, Y.codes, op) for Y in (A, B) for op in ops]
-    assert len(calls) == 4 and all(out is None for _, out in calls)
-    assert ran == [sets._choose_kernel(ctx, Field.vmul, len(A), len(Y)) for Y in (A, B) for _ in ops]
-    assert ("merge" in ran) == (pm == (3, 9))
-    for (v0, c0), (v1, c1) in zip(exact, got):
-        assert v0.tolist() == v1.tolist() and c0.tolist() == c1.tolist()
-    assert energy(A, B).value == oracle.energy_brute(A, B, "additive",
-                                                     oracle.OracleBudget(max_q=ctx.q))
+    assert _largest_transform_field(ctx.p) == pm
+    xa = np.arange(ctx.q, dtype=np.int64)
+    for same in (True, False):
+        for negate in (False, True):
+            got = sets._transform_counts(ctx, xa, xa if same else xa.copy(), same, negate)
+            assert got.dtype == np.int64 and (got == ctx.q).all()
 
 
 def test_transform_needs_q_times_p_within_block(monkeypatch):
-    # q*p bounds the transform's arrays and the p = 2 values (q^3 <= 2^57):
-    # however many the pairs, the chooser takes the transform only within it
+    # q*p bounds the transform's arrays (its values stay below p*P^2/2 < 2^39
+    # mod _dft's prime P): however many the pairs, the chooser takes the
+    # transform only within it
     many = 1 << 40
     calls = _spy_transform(monkeypatch)
     ctx = make_field(2, 20)  # q*p = 2^21 > _BLOCK
@@ -327,7 +335,7 @@ def test_transform_needs_q_times_p_within_block(monkeypatch):
         assert (sets._choose_kernel(ctx, Field.vadd, many, many) == "transform") == taken
         A = S(ctx, [0, 1, 5, ctx.q - 1])
         assert energy(A).value == oracle.energy_brute(A, A, "additive")
-        if taken:  # the int64 Walsh-Hadamard at q*p = _BLOCK is exact
+        if taken:  # the transform at q*p = _BLOCK is exact
             xa = np.array(A.codes, dtype=np.int64)
             pairs = Counter(ctx.add(x, y) for x in A for y in A)
             got = sets._transform_counts(ctx, xa, xa, True, False)

@@ -147,12 +147,45 @@ def test_config_roundtrip(tmp_path):
     (lambda r: r.update(preset="a-a1", family_b="random"), "preset fixes"),
     (lambda r: r.update(family_c="clique"), "unknown family"),
     (lambda r: r.update(timing="yes"), "boolean"),
+    (lambda r: r.update(fields=[[7.9, 1]]), "fields takes integers"),
+    (lambda r: r.update(fields=[["7", "1"]]), "fields takes integers"),
+    (lambda r: r.update(fields=[[True, 1]]), "fields takes integers"),
+    (lambda r: r.update(fields="71"), "fields must be a list"),
+    (lambda r: r.update(fields=[7, 1]), "pairs, got 7"),
+    (lambda r: r.update(fields=["71"]), "pairs, got '71'"),
+    (lambda r: r.update(sizes="34"), "sizes must be a list"),
+    (lambda r: r.update(sizes={"4": 8}), "sizes must be a list"),
+    (lambda r: r.update(sizes=[4, 8.0]), "sizes takes integers"),
+    (lambda r: r.update(trials=1.5), "trials takes integers"),
+    (lambda r: r.update(trials="3"), "trials takes integers"),
+    (lambda r: r.update(seed=True), "seed takes integers"),
+    (lambda r: r.update(d_policy=1.9), "d_policy takes integers"),
+    (lambda r: r.update(d_policy="random"), "d_policy takes integers"),
+    (lambda r: r.update(outputs=5), "outputs must be a path string"),
+    (lambda r: r.update(outputs=None), "outputs must be a path string"),
 ])
 def test_config_validation(mangle, message):
     raw = base_config()
     mangle(raw)
     with pytest.raises(ValueError, match=message):
         SweepConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("raw", [5, None, [], "fields"])
+def test_config_must_be_an_object(raw, tmp_path):
+    with pytest.raises(ValueError, match="JSON object"):
+        SweepConfig.from_dict(raw)
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(ValueError, match="JSON object"):
+        SweepConfig.from_json(path)
+
+
+def test_config_file_unreadable(tmp_path):
+    with pytest.raises(ValueError, match="cannot read sweep config.*missing.json"):
+        SweepConfig.from_json(tmp_path / "missing.json")
+    with pytest.raises(ValueError, match="cannot read sweep config"):
+        SweepConfig.from_json(tmp_path)
 
 
 def test_presets_frozen():

@@ -372,6 +372,20 @@ def test_only_sets_and_verify_name_pair_count_kernels():
     assert {stem for stem, named in seen.items() if named} == {"sets", "verify"}
 
 
+def test_pair_counts_stay_integer():
+    # every pair count is exact integer arithmetic: sets builds no complex
+    # array, rounds nothing and reads no complex roots of unity
+    names = set()
+    for node in ast.walk(ast.parse(Path(sets.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant):  # dtype strings and 1j literals
+            names.add(type(node.value).__name__ if isinstance(node.value, complex) else node.value)
+    assert not names & {"complex", "complex64", "complex128", "rint", "conj", "roots"}
+
+
 def test_mixed_fields_rejected():
     with pytest.raises(ValueError, match="different fields"):
         product_set(ESet(F(7), [1]), ESet(F(11), [1]))
