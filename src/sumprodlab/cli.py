@@ -51,7 +51,7 @@ def _cmd_prodset(args) -> int:
     ctx = make_field(args.p, args.m)
     out = product_set(ESet.from_text(ctx, args.a), ESet.from_text(ctx, args.b))
     if args.json:
-        print(json.dumps({"size": len(out), "codes": list(out.codes)}))
+        print(json.dumps({"size": len(out), "codes": out.codes.tolist()}))
     else:
         print(f"|A*B| = {len(out)}")
         print(out.to_text())
@@ -91,7 +91,7 @@ def _cmd_subgroup(args) -> int:
     if args.json:
         payload = {"order": info.order, "n": info.n,
                    "generator_power": info.generator_power,
-                   "codes": list(info.elements.codes)}
+                   "codes": info.elements.codes.tolist()}
         if rows is not None:
             payload["conditions"] = [
                 {"nu": r.nu, "lhs": r.lhs, "rhs": r.rhs, "ratio": r.ratio,
@@ -102,7 +102,7 @@ def _cmd_subgroup(args) -> int:
     if info.n is not None:
         print(f"arises as {info.n}-th powers")
     shown = info.elements.to_text() if info.order <= 64 else \
-        ",".join(str(c) for c in info.elements.codes[:64]) + ",..."
+        ",".join(map(str, info.elements.codes[:64].tolist())) + ",..."
     print(shown)
     if rows is not None:
         _print_condition_csv(ctx, n_col, rows)

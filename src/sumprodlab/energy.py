@@ -17,8 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import sets
 from .fields import Field
-from .sets import ESet, _pair_counts, _row_hits, _same_field, dilate, product_set, shift, sum_set
+from .sets import ESet, _row_hits, _same_field, dilate, product_set, shift, sum_set
 
 KINDS = ("additive", "multiplicative")
 
@@ -61,7 +62,7 @@ def energy(A: ESet, B: ESet | None = None, kind: str = "additive") -> EnergyRepo
         B = A
     ctx = _same_field(A, B)
     op = Field.vadd if kind == "additive" else Field.vmul
-    values, counts = _pair_counts(ctx, A.codes, B.codes, op)
+    values, counts = sets._pair_counts(ctx, A.codes, B.codes, op)
     total = int(counts.sum())
     if total != len(A) * len(B):
         raise RuntimeError("histogram mass does not match |A||B|; counting bug")
@@ -129,7 +130,7 @@ def triple_cover_totals(aprime: ESet, cset: ESet) -> tuple[int, int]:
     # N_c as |S ∩ c*A'| would satisfy the identity by construction, since S
     # is the support of those same products; counting c^-1 * S ∩ A' through
     # one scalar inverse per c keeps the recount independent of S.
-    n = _row_hits(ctx, [ctx.inv(c) for c in cset.codes], s.codes, aprime.codes).tolist()
+    n = _row_hits(ctx, [ctx.inv(c) for c in cset], s.codes, aprime.codes).tolist()
     total = sum(k ** 3 for k in n)
     diagonal = sum(3 * k * k - 2 * k for k in n)
     expect = len(cset) * len(aprime) ** 3
@@ -246,7 +247,7 @@ def cauchy_schwarz_chain(A: ESet, B: ESet, C: ESet, d, w: TripleWitness) -> Cauc
     ab = product_set(A, B)
     alpha_ab = dilate(ab, w.alpha)
     beta_ab = dilate(ab, w.beta)
-    values, counts = _pair_counts(ctx, ab.codes, alpha_ab.codes, Field.vsub)
+    values, counts = sets._pair_counts(ctx, ab.codes, alpha_ab.codes, Field.vsub)
     t = int(counts[np.isin(values, beta_ab.codes)].sum())
     lower = len(A) * w.cover
     if t < lower:

@@ -19,8 +19,8 @@ report-only.
 
 The x^n table, G_n's codes and E+(G_n) depend on (field, n) alone: one
 cached entry per (field, n), the 16 most recent kept, serves every character
-a of it.  G_n's codes are sliced from the field's generator powers and
-counted as one int64 array, never as Python ints.
+a of it.  G_n comes from subgroups.subgroup_of_order and E+(G_n) from
+subgroups.subgroup_additive_energy, as for any other subgroup.
 
 Complex accumulation uses numpy's fixed pairwise reduction over element
 codes in increasing order, which is bit-reproducible for a given platform.
@@ -36,7 +36,7 @@ import numpy as np
 
 from .fields import _BLOCK, TABLE_LIMIT, Field, _index, _read_only, factorize
 from .sets import ESet
-from .subgroups import SubgroupInfo, _subgroup_energy
+from .subgroups import SubgroupInfo, subgroup_additive_energy, subgroup_of_order
 from .sweep import _fmt
 
 MAX_DIRECT_Q = 10 ** 6  # runtime guard for full-field summation
@@ -112,14 +112,9 @@ class _Tables:
 
     @functools.cached_property
     def subgroup(self):
-        """(G_n's read-only, ascending int64 codes, E+(G_n)), for n | q - 1.
-
-        The codes come from Field.unit_subgroup as one array, sorted, and
-        E+(G_n) is counted on that array, so G_n is never a list of Python ints.
-        """
-        ctx = self.ctx
-        codes = _read_only(np.sort(ctx.unit_subgroup((ctx.q - 1) // self.n)[0]))
-        return codes, _subgroup_energy(ctx, codes)
+        """(G_n's read-only, ascending int64 codes, E+(G_n)), for n | q - 1."""
+        G = subgroup_of_order(self.ctx, (self.ctx.q - 1) // self.n)
+        return G.elements.codes, subgroup_additive_energy(G)
 
 
 # Both reports visit every a of one (field, n) in a row, and a divisor scan chains
@@ -187,8 +182,7 @@ def subgroup_character_sum(ctx: Field, G, a) -> complex:
     ctx.check(a)
     if a == 0:
         raise ValueError("character index a must be nonzero")
-    codes = np.asarray(elements.codes, dtype=np.int64)
-    return _char_sum_over_codes(ctx, ctx.trace_form(a), codes)[0]
+    return _char_sum_over_codes(ctx, ctx.trace_form(a), elements.codes)[0]
 
 
 def gauss_sum_by_subgroup(ctx: Field, n: int, a) -> complex:

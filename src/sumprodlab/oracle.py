@@ -48,12 +48,12 @@ def energy_brute(A: ESet, B: ESet, kind: str, budget: OracleBudget = DEFAULT_BUD
     if ctx.m == 1:
         p = ctx.p
         if kind == "additive":
-            values = [(a + b) % p for a in A.codes for b in B.codes]
+            values = [(a + b) % p for a in A for b in B]
         else:
-            values = [a * b % p for a in A.codes for b in B.codes]
+            values = [a * b % p for a in A for b in B]
     else:
         op = ctx.add if kind == "additive" else ctx.mul
-        values = [op(a, b) for a in A.codes for b in B.codes]
+        values = [op(a, b) for a in A for b in B]
     return sum(values.count(v) for v in values)
 
 
@@ -62,8 +62,8 @@ def product_set_brute(A: ESet, B: ESet, budget: OracleBudget = DEFAULT_BUDGET) -
     ctx = _same_field(A, B)
     _check_budget(ctx, len(A) * len(B), budget)
     vals = []
-    for a in A.codes:
-        for b in B.codes:
+    for a in A:
+        for b in B:
             vals.append(ctx.mul(a, b))
     vals.sort()
     out = []
@@ -79,14 +79,14 @@ def triple_cover_brute(aprime: ESet, cset: ESet, y1, y2, y3,
     ctx = _same_field(aprime, cset)
     _check_budget(ctx, 3 * len(cset) * max(1, len(aprime)), budget)
     total = 0
-    for c in cset.codes:
+    for c in cset:
         if c == 0:
             raise ValueError("0 in C has no inverse")
         ic = ctx.inv(c)
         hits = 0
         for y in (y1, y2, y3):
             z = ctx.mul(y, ic)
-            for a in aprime.codes:
+            for a in aprime:
                 if a == z:
                     hits += 1
                     break
@@ -102,13 +102,13 @@ def difference_count_brute(G: ESet, H: ESet, d, budget: OracleBudget = DEFAULT_B
     count = 0
     if ctx.m == 1:
         p = ctx.p
-        for g in G.codes:
-            for h in H.codes:
+        for g in G:
+            for h in H:
                 if (g - h) % p == d:
                     count += 1
         return count
-    for g in G.codes:
-        for h in H.codes:
+    for g in G:
+        for h in H:
             if ctx.sub(g, h) == d:
                 count += 1
     return count
@@ -121,8 +121,8 @@ def subfield_intersection_brute(elements: ESet, nu: int,
     F = ctx.subfield(nu)
     _check_budget(ctx, len(elements) * len(F), budget)
     count = 0
-    for z in elements.codes:
-        for f in F.codes:
+    for z in elements:
+        for f in F:
             if z == f:
                 count += 1
                 break

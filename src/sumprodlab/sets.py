@@ -1,15 +1,17 @@
 """Finite subsets of a field and the product/sum/shift/dilate algebra on them.
 
-An ESet is immutable: one sorted tuple of element codes, which membership
-searches by bisection.  It is built from any iterable of integer codes,
-each one cleaned on its own, or from a 1-D integer array, taken whole:
-as it is when strictly increasing, sorted and deduplicated otherwise.  The
-set operations hand it their arrays.  All set operations return new ESets
-and require both operands to live in the same field.
+An ESet is immutable: its codes are one sorted, deduplicated, read-only
+int64 array, which every kernel reads as it is and membership searches by
+np.searchsorted; iterating a set yields Python ints.  It is built from
+any iterable of integer codes, each one cleaned on its own, or from a 1-D
+integer array, copied whole: as it is when strictly increasing, sorted and
+deduplicated otherwise.  The set operations hand it their arrays.  All set
+operations return new ESets and require both operands to live in the same
+field.
 
 Set operations and energies rest on one pair count, _pair_counts: how
-often each op(x, y) occurs over X x Y.  It converts its inputs, asks
-_choose_kernel which of four exact kernels to run, and runs it:
+often each op(x, y) occurs over X x Y.  It asks _choose_kernel which of
+four exact kernels to run, and runs it:
 
 - _tiled_counts ("tiles"): prime-field sums and differences, up to
   TABLE_LIMIT, when [0, p) splits into nb >= 2 intervals of about _TILE
@@ -36,12 +38,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import _BLOCK, TABLE_LIMIT, Field, _index, _mod, divisors, is_prime
+from .fields import _BLOCK, TABLE_LIMIT, Field, _index, _mod, _read_only, divisors, is_prime
 
 # Prime-field sum/difference tiles: the narrowest width and the fewest mean
 # pairs per pair of tiles.  Measured on a 2-vCPU Xeon in GF(1000003): halving
@@ -74,11 +75,11 @@ def _code(c) -> int:
 
 
 class ESet:
-    """Immutable subset of a field: one tuple of strictly increasing element codes.
+    """Immutable subset of a field: one read-only int64 array of strictly increasing codes.
 
     codes is any iterable of integers, each cleaned by _code; a 1-D integer
-    ndarray is taken whole instead, as it is when strictly increasing and
-    sorted and deduplicated otherwise.  That is np.sort and a mask rather
+    ndarray is copied whole instead, as it is when strictly increasing and
+    sorted and deduplicated otherwise.  That is a sort and a mask rather
     than np.unique, whose first call in a process raised its peak memory by
     1.2 MB (numpy 2.4).
     """
@@ -87,16 +88,16 @@ class ESet:
 
     def __init__(self, ctx: Field, codes):
         if isinstance(codes, np.ndarray) and codes.ndim == 1 and codes.dtype.kind in "iu":
+            codes = np.array(codes, dtype=np.int64)  # its own copy: no caller writes into the set
             if not (codes[1:] > codes[:-1]).all():
-                codes = np.sort(codes)
+                codes.sort()
                 codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
-            cleaned = codes.tolist()
         else:
-            cleaned = sorted({_code(c) for c in codes})
-        if cleaned and (cleaned[0] < 0 or cleaned[-1] >= ctx.q):
+            codes = sorted({_code(c) for c in codes})
+        if len(codes) and (codes[0] < 0 or codes[-1] >= ctx.q):
             raise ValueError(f"element code out of range for {ctx!r}")
         self.ctx = ctx
-        self.codes = tuple(cleaned)
+        self.codes = _read_only(np.asarray(codes, dtype=np.int64))
 
     @classmethod
     def from_text(cls, ctx, text: str) -> "ESet":
@@ -105,30 +106,31 @@ class ESet:
         return cls(ctx, [int(t) for t in toks if t])
 
     def to_text(self) -> str:
-        return ",".join(str(c) for c in self.codes)
+        return ",".join(map(str, self.codes.tolist()))
 
     def __len__(self):
-        return len(self.codes)
+        return self.codes.size
 
     def __iter__(self):
-        return iter(self.codes)
+        return iter(self.codes.tolist())
 
     def __bool__(self):
-        return bool(self.codes)
+        return self.codes.size > 0
 
     def __eq__(self, other):
-        return isinstance(other, ESet) and self.ctx == other.ctx and self.codes == other.codes
+        return (isinstance(other, ESet) and self.ctx == other.ctx
+                and np.array_equal(self.codes, other.codes))
 
     def __hash__(self):
-        return hash((self.ctx, self.codes))
+        return hash((self.ctx, self.codes.tobytes()))
 
     def __repr__(self):
         return f"ESet({self.ctx!r}, {{{self.to_text()}}})"
 
     def __contains__(self, code):
         codes = self.codes
-        i = bisect_left(codes, code)
-        return i < len(codes) and codes[i] == code
+        i = np.searchsorted(codes, code)
+        return bool(i < codes.size and codes[i] == code)
 
 
 def _same_field(*sets):
@@ -336,26 +338,25 @@ def _choose_kernel(ctx: Field, op, nx: int, ny: int) -> str:
 def _pair_counts(ctx: Field, xs, ys, op):
     """(values, counts): the distinct op(x, y) over xs x ys, ascending, and how often each occurs.
 
-    op is one of Field's array operations, called as op(ctx, x, y).  The
-    kernel is the one _choose_kernel names; every kernel is exact, the
-    transform included, since it counts mod a prime P > q.
+    xs and ys are int64 code arrays, such as ESet.codes; op is one of Field's
+    array operations, called as op(ctx, x, y).  The kernel is the one
+    _choose_kernel names; every kernel is exact, the transform included,
+    since it counts mod a prime P > q.
 
     Prime fields have no FFT path: an rfft/irfft pair of length 2^21 (p near
     10^6) raised a process's peak memory from 35 MB to 123 MB, while the
     tiled count's one array holds p + 2w counts, 2w = 2 ceil(p / nb).
     """
-    xa = np.asarray(xs, dtype=np.int64)
-    ya = np.asarray(ys, dtype=np.int64)
     same, negate = ys is xs, op is Field.vsub
-    kernel = _choose_kernel(ctx, op, xa.size, ya.size)
+    kernel = _choose_kernel(ctx, op, xs.size, ys.size)
     if kernel == "tiles":
-        counts = _tiled_counts(ctx.p, xa, ya, _tile_count(ctx.p, xa.size, ya.size), negate, same)
+        counts = _tiled_counts(ctx.p, xs, ys, _tile_count(ctx.p, xs.size, ys.size), negate, same)
     elif kernel == "transform":
-        counts = _transform_counts(ctx, xa, ya, same, negate)
+        counts = _transform_counts(ctx, xs, ys, same, negate)
     elif kernel == "merge":
-        return _merge_counts(ctx, xa, ya, op)
+        return _merge_counts(ctx, xs, ys, op)
     else:
-        counts = _dense_counts(ctx, xa, ya, op)
+        counts = _dense_counts(ctx, xs, ys, op)
     values = np.flatnonzero(counts)
     return values, counts[values]
 

@@ -16,7 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import Field, _index, divisors
-from .sets import ESet, _op_blocks, _pair_counts, _same_field
+from .energy import energy
+from .sets import ESet, _op_blocks, _same_field
 
 # default exponents for the report-only power conditions
 GCD_CONDITION_DELTA = Fraction(119, 605)
@@ -60,30 +61,16 @@ def subgroup_additive_energy(G: SubgroupInfo) -> int:
 
     with r(0) = |G| when -1 lies in G and 0 otherwise, and r(c) the number
     of y in G with c - y in G: n|G| = q - 1 differences, looked up in a
-    membership mask, instead of |G|^2 pairs.  Below the crossover the pair
-    count of sets is cheaper and counts the pairs.  The mass identity
+    membership mask, instead of |G|^2 pairs.  Below the crossover energy()
+    is cheaper and counts the pairs.  The mass identity
     r(0) + |G| * sum_j r(g^j) = |G|^2 is asserted.
     """
     ctx, t = G.ctx, G.order
     if (ctx.q - 1) % t != 0:
         raise ValueError(f"order {t} does not divide q - 1 = {ctx.q - 1}")
-    return _subgroup_energy(ctx, np.asarray(G.elements.codes, dtype=np.int64))
-
-
-def _subgroup_energy(ctx: Field, codes) -> int:
-    """E+(G) from G's int64 codes, by the pair count or the orbits as
-    subgroup_additive_energy says; the codes never become Python ints.
-
-    The pair count's mass must be |G|^2, as energy asserts; its sum of
-    squares, at most |G|^4 <= (q - 1)^2 < 2^62, is exact in int64.
-    """
-    t = codes.size
     if t * t > ctx.q - 1:
-        return _orbit_energy(ctx, codes)
-    counts = _pair_counts(ctx, codes, codes, Field.vadd)[1]
-    if int(counts.sum()) != t * t:
-        raise RuntimeError("histogram mass does not match |G|^2; counting bug")
-    return int(counts @ counts)
+        return _orbit_energy(ctx, G.elements.codes)
+    return energy(G.elements).value
 
 
 def _orbit_energy(ctx: Field, codes) -> int:

@@ -96,6 +96,8 @@ class SweepConfig:
         outputs = raw["outputs"]
         if not isinstance(outputs, str):
             raise ValueError(f"outputs must be a path string, got {outputs!r}")
+        if outputs and not Path(outputs).parent.is_dir():
+            raise ValueError(f"outputs {outputs!r} does not lie in an existing directory")
         preset = raw.get("preset")
         if preset is not None and preset not in PRESETS:
             raise ValueError(f"unknown preset {preset!r}; expected one of {PRESETS}")
@@ -177,7 +179,7 @@ def _strip(ctx, A: ESet, d) -> ESet:
     # drop -d so that 0 never lands in A + d
     negd = ctx.neg(d)
     if negd in A:
-        A = ESet(ctx, [c for c in A.codes if c != negd])
+        A = ESet(ctx, A.codes[A.codes != negd])
     return A
 
 
@@ -242,7 +244,8 @@ def run_sweep(cfg: SweepConfig, threads: int = 1):
     With threads > 1 the cells are computed on a thread pool; the output is
     byte-identical either way.  A cell that cannot be built or reported
     raises ValueError naming its field, family, size and trial, and nothing
-    is written: a CSV with missing rows would not be the sweep's.
+    is written: a CSV with missing rows would not be the sweep's.  A CSV
+    that cannot be written raises ValueError too.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
@@ -258,7 +261,11 @@ def run_sweep(cfg: SweepConfig, threads: int = 1):
     rows.sort(key=ResultRow.sort_key)
     _audit(cfg, rows)
     if cfg.outputs:
-        Path(cfg.outputs).write_text(rows_to_csv(rows), encoding="utf-8")
+        try:
+            Path(cfg.outputs).write_text(rows_to_csv(rows), encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot write sweep outputs {cfg.outputs!r}: "
+                             f"{exc.strerror or exc}") from exc
     return rows
 
 

@@ -106,14 +106,13 @@ def _every_kernel(ctx, A: ESet, B: ESet, op):
     both; sums also go to the tiles at nb = 2 in prime fields, and to the
     Z_p^m transform, exact mod a prime P > q, for m > 1 and q*p <= _BLOCK.
     """
-    xa = np.asarray(A.codes, dtype=np.int64)
-    ya = np.asarray(B.codes, dtype=np.int64)
-    full = {"dense": sets._dense_counts(ctx, xa, ya, op)}
+    xs, ys = A.codes, B.codes
+    full = {"dense": sets._dense_counts(ctx, xs, ys, op)}
     if op is Field.vadd and ctx.m == 1:
-        full["tiles"] = sets._tiled_counts(ctx.p, xa, ya, 2, False, False)
+        full["tiles"] = sets._tiled_counts(ctx.p, xs, ys, 2, False, False)
     elif op is Field.vadd and ctx.q * ctx.p <= _BLOCK:
-        full["transform"] = sets._transform_counts(ctx, xa, ya, False, False)
-    runs = [("merge", *sets._merge_counts(ctx, xa, ya, op))]
+        full["transform"] = sets._transform_counts(ctx, xs, ys, False, False)
+    runs = [("merge", *sets._merge_counts(ctx, xs, ys, op))]
     for kernel, counts in full.items():
         values = np.flatnonzero(counts)
         runs.append((kernel, values, counts[values]))
@@ -211,7 +210,7 @@ def check_triple_cover_vs_brute(max_q):
         if i % 10 == 0:
             s = product_set(aprime, C)
             total = sum(triple_cover_count(aprime, C, y1, y2, y3)
-                        for y1 in s.codes for y2 in s.codes for y3 in s.codes)
+                        for y1 in s for y2 in s for y3 in s)
             if total != len(C) * len(aprime) ** 3:
                 raise RuntimeError("literal triple sum disagrees with the identity")
             n += 1
@@ -254,8 +253,7 @@ def check_cauchy_schwarz_chain(max_q):
         s_prod = product_set(shift(A, d), C)
         if len(s_prod) < 3:
             continue
-        y1, y2, y3 = (s_prod.codes[int(i)]
-                      for i in rng.choice(len(s_prod.codes), size=3, replace=False))
+        y1, y2, y3 = s_prod.codes[rng.choice(len(s_prod), size=3, replace=False)].tolist()
         w = make_triple_witness(A, C, d, y1, y2, y3)
         cauchy_schwarz_chain(A, B, C, d, w)
         done += 1
@@ -383,7 +381,7 @@ def check_product_set_vs_oracle(max_q):
         A = _sample_set(rng, ctx, int(rng.integers(1, hi + 1)))
         B = _sample_set(rng, ctx, int(rng.integers(1, hi + 1)))
         slow = oracle.product_set_brute(A, B)
-        if list(product_set(A, B).codes) != slow:
+        if product_set(A, B).codes.tolist() != slow:
             raise RuntimeError(f"product set mismatch in {ctx!r}")
         for kernel, values, _ in _every_kernel(ctx, A, B, Field.vmul):
             if values.tolist() != slow:
@@ -537,7 +535,7 @@ def check_gauss_structure(max_q):
                 raise RuntimeError(f"unit-group character sum {s} != -1 in {ctx!r}")
             n += 1
         top = nth_power_subgroup(ctx, ctx.q - 1)
-        if top.elements.codes != (1,):
+        if top.elements.codes.tolist() != [1]:
             raise RuntimeError("(q-1)-th powers are not {1}")
         s1 = subgroup_character_sum(ctx, top, 1)
         if abs(s1 - ctx.additive_char(1, 1)) > 1e-9:

@@ -153,6 +153,28 @@ def test_sweep_cli_malformed_config_exits_2(tmp_path, capsys):
     assert code == 2 and out == "" and "cannot read sweep config" in err
 
 
+def test_sweep_cli_unwritable_outputs_exits_2_before_any_cell(tmp_path, capsys, monkeypatch):
+    from sumprodlab import sweep
+
+    cells = []
+    real = sweep._compute_row
+    monkeypatch.setattr(sweep, "_compute_row", lambda *args: cells.append(args) or real(*args))
+    cfg = {"fields": [[13, 1]], "family": "geometric", "sizes": [3, 6],
+           "trials": 1, "seed": 7, "d_policy": 1,
+           "outputs": str(tmp_path / "missing" / "rows.csv")}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    code, out, err = run(capsys, "sweep", "--config", str(cfg_path))
+    assert code == 2 and out == "" and cells == []
+    assert err.startswith("error: outputs ") and "does not lie in an existing directory" in err
+    # a directory as outputs passes the config, and its write fails as a usage error too
+    (tmp_path / "adir").mkdir()
+    cfg_path.write_text(json.dumps(dict(cfg, outputs=str(tmp_path / "adir"))), encoding="utf-8")
+    code, out, err = run(capsys, "sweep", "--config", str(cfg_path))
+    assert code == 2 and out == "" and len(cells) == 2
+    assert err.startswith("error: cannot write sweep outputs ")
+
+
 def test_verify_cli(capsys):
     code, out, _ = run(capsys, "verify", "gauss", "--max-q", "128")
     assert code == 0

@@ -1,6 +1,7 @@
 import importlib
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from sumprodlab.energy import (KINDS, EnergyReport, cauchy_schwarz_chain, energy
                                triple_cover_count, triple_cover_totals)
 from sumprodlab.fields import TABLE_LIMIT, Field, is_prime, make_field
 from sumprodlab.sets import ESet, difference_set, dilate, product_set, sum_set
+from sumprodlab.subgroups import subgroup_additive_energy, subgroup_of_order
 
 
 def S(ctx, codes):
@@ -576,3 +578,39 @@ def test_pair_energy_bound_frozen():
                                 S(make_field(2, 2), [1]))
     with pytest.raises(ValueError):
         pair_energy_bound_ratio(S(f5, []), S(f5, [1]), S(f5, [1]))
+
+
+def test_one_patch_point_for_the_pair_count(monkeypatch):
+    # every pair count goes through the module attribute sets._pair_counts,
+    # so a spy there alone sees the calls of energy, of the chain's T, of
+    # product sets and of a small subgroup's E+(G)
+    stacks = []
+    real = sets._pair_counts
+
+    def spy(ctx_, xs, ys, op):
+        frame, names = sys._getframe(1), []
+        while frame is not None:
+            names.append(frame.f_code.co_name)
+            frame = frame.f_back
+        stacks.append(names)
+        return real(ctx_, xs, ys, op)
+
+    monkeypatch.setattr(sets, "_pair_counts", spy)
+    ctx = make_field(101)
+    A, B, C = S(ctx, [1, 2, 3, 5]), S(ctx, [7, 11, 13, 17]), S(ctx, [19, 23, 29, 31])
+    w = make_triple_witness(A, C, 1, 2, 3, 4)
+    G = subgroup_of_order(ctx, 5)
+    assert len(G.elements) ** 2 <= ctx.q - 1
+    cases = [("energy", lambda: energy(A, B)), ("product_set", lambda: product_set(A, B)),
+             ("cauchy_schwarz_chain", lambda: cauchy_schwarz_chain(A, B, C, 1, w)),
+             ("subgroup_additive_energy", lambda: subgroup_additive_energy(G))]
+    direct = {}
+    for caller, call in cases:
+        del stacks[:]
+        call()
+        assert stacks and all(caller in names for names in stacks)
+        direct[caller] = [names[0] for names in stacks]
+    # the chain counts T itself, besides its product set and two energies
+    assert direct == {"energy": ["energy"], "product_set": ["_support"],
+                      "cauchy_schwarz_chain": ["_support", "cauchy_schwarz_chain", "energy", "energy"],
+                      "subgroup_additive_energy": ["energy"]}

@@ -52,21 +52,21 @@ def test_geometric_family_gf16():
     f16 = make_field(2, 4)  # t^4 + t + 1, generator t = 2
     g = f16.generator()
     assert g == 2
-    assert generate_family(f16, "geometric", 8, 0).codes == (1, 2, 3, 4, 6, 8, 11, 12)
+    assert generate_family(f16, "geometric", 8, 0).codes.tolist() == [1, 2, 3, 4, 6, 8, 11, 12]
     for size in range(1, 16):
         codes = generate_family(f16, "geometric", size, 0).codes
-        assert codes == tuple(sorted(f16.pow(g, k) for k in range(size)))
+        assert codes.tolist() == sorted(f16.pow(g, k) for k in range(size))
 
 
 def test_random_family_stream_determinism():
     f97 = make_field(97)
     a = generate_family(f97, "random", 10, 5, trial=2, stream=0)
     b = generate_family(f97, "random", 10, 5, trial=2, stream=0)
-    assert a.codes == b.codes
+    assert a.codes.tolist() == b.codes.tolist()
     c = generate_family(f97, "random", 10, 5, trial=2, stream=1)
     d = generate_family(f97, "random", 10, 5, trial=3, stream=0)
-    assert c.codes != a.codes
-    assert d.codes != a.codes
+    assert c.codes.tolist() != a.codes.tolist()
+    assert d.codes.tolist() != a.codes.tolist()
     assert 0 not in a and len(a) == 10
     r1 = stream_rng(9, 0, 0).integers(0, 1 << 30, size=4)
     r2 = stream_rng(9, 0, 0).integers(0, 1 << 30, size=4)
@@ -163,6 +163,8 @@ def test_config_roundtrip(tmp_path):
     (lambda r: r.update(d_policy="random"), "d_policy takes integers"),
     (lambda r: r.update(outputs=5), "outputs must be a path string"),
     (lambda r: r.update(outputs=None), "outputs must be a path string"),
+    (lambda r: r.update(outputs="no-such-directory/rows.csv"),
+     "outputs 'no-such-directory/rows.csv' does not lie in an existing directory"),
 ])
 def test_config_validation(mangle, message):
     raw = base_config()
@@ -284,6 +286,20 @@ def test_sweep_names_a_too_small_cell(overrides, cell, tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg_path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_sweep_outputs_must_be_writable(tmp_path):
+    # a path under a file is rejected with the config; one that turns out
+    # unwritable only when the CSV is written raises ValueError there
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    with pytest.raises(ValueError, match="does not lie in an existing directory"):
+        SweepConfig.from_dict(base_config(outputs=str(tmp_path / "afile" / "rows.csv")))
+    (tmp_path / "adir").mkdir()
+    cfg = SweepConfig.from_dict(base_config(fields=[[13, 1]], sizes=[4], trials=1,
+                                            outputs=str(tmp_path / "adir")))
+    with pytest.raises(ValueError, match="cannot write sweep outputs .*adir"):
+        run_sweep(cfg)
+    assert SweepConfig.from_dict(base_config(outputs="rows.csv")).outputs == "rows.csv"
 
 
 def test_run_sweep_thread_validation():

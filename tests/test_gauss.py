@@ -284,18 +284,18 @@ def test_subgroup_table_shared_across_characters(monkeypatch):
     ctx = make_field(8191)
     expected = {n: energy(nth_power_subgroup(ctx, n).elements).value for n in (2, 4095)}
     built, counted = [], []
-    real_subgroup, real_energy = Field.unit_subgroup, gauss._subgroup_energy
+    real_subgroup, real_energy = Field.unit_subgroup, gauss.subgroup_additive_energy
 
     def subgroup_spy(ctx_, t):
         built.append((ctx_.q - 1) // t)
         return real_subgroup(ctx_, t)
 
-    def energy_spy(ctx_, codes):
-        counted.append((ctx_.q - 1) // codes.size)
-        return real_energy(ctx_, codes)
+    def energy_spy(G):
+        counted.append((G.ctx.q - 1) // G.order)
+        return real_energy(G)
 
     monkeypatch.setattr(Field, "unit_subgroup", subgroup_spy)
-    monkeypatch.setattr(gauss, "_subgroup_energy", energy_spy)
+    monkeypatch.setattr(gauss, "subgroup_additive_energy", energy_spy)
     for n in (2, 4095):
         reps = [gauss_bounds_report(ctx, n, a) for a in (1, 2, 17, ctx.q - 1)]
         gauss_sum_by_subgroup(ctx, n, 5)
@@ -340,27 +340,33 @@ def test_gauss_sum_builds_no_subgroup(monkeypatch):
 
 
 def test_report_keeps_no_python_int_subgroup(monkeypatch):
-    # G_n goes from the generator powers to E+(G_n) as one int64 array, with
-    # no ESet of Python ints on the way; only its codes and E+(G_n) are kept.
+    # G_n is one ESet from subgroup_of_order, built from the generator
+    # powers' int64 array, and the report reads its read-only codes as they
+    # are: the set is never iterated, so no code becomes a Python int.
     # In GF(8191), |G_2|^2 > q - 1 is counted over the orbits, while G_91
     # (90 codes) and G_2730 (3 codes) have |G|^2 <= q - 1 and count pairs
     made = []
     real = ESet.__init__
 
     def spy(self, ctx_, codes):
-        made.append(len(codes))
+        made.append(type(codes))
         real(self, ctx_, codes)
+
+    def no_iteration(self):
+        raise AssertionError("G_n was iterated as Python ints")
 
     ctx = make_field(8191)
     for n in (2, 91, 2730):
+        made.clear()
         monkeypatch.setattr(ESet, "__init__", spy)
+        monkeypatch.setattr(ESet, "__iter__", no_iteration)
         rep = gauss_bounds_report(ctx, n, 1)
-        assert made == []
+        assert made == [np.ndarray]
         monkeypatch.undo()
         codes, e_g = gauss._tables(ctx, n).subgroup
         assert codes.dtype == np.int64 and not codes.flags.writeable
         G = nth_power_subgroup(ctx, n).elements
-        assert codes.tolist() == sorted(G.codes)
+        assert codes.tolist() == G.codes.tolist() == sorted(G)
         assert e_g == rep.group_energy == energy(G).value
 
 

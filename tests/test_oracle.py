@@ -15,11 +15,11 @@ def energy_four_loops(A, B, kind):
     ctx = A.ctx
     op = ctx.add if kind == "additive" else ctx.mul
     count = 0
-    for a in A.codes:
-        for b in B.codes:
+    for a in A:
+        for b in B:
             lhs = op(a, b)
-            for a2 in A.codes:
-                for b2 in B.codes:
+            for a2 in A:
+                for b2 in B:
                     if op(a2, b2) == lhs:
                         count += 1
     return count
@@ -86,7 +86,7 @@ def test_energy_brute_one_product_per_pair(monkeypatch):
     calls.clear()
     assert oracle.energy_brute(A, B, "multiplicative") == expect
     assert len(calls) == pairs
-    assert sorted(calls) == sorted(itertools.product(A.codes, B.codes))
+    assert sorted(calls) == sorted(itertools.product(A, B))
 
 
 def test_product_set_brute():
@@ -122,7 +122,7 @@ def test_difference_count_brute_prime_field_matches_sub(p):
         G = ESet(ctx, rng.sample(range(p), rng.randint(0, min(p, 12))))
         H = ESet(ctx, rng.sample(range(p), rng.randint(1, min(p, 12))))
         for d in {0, 1, p - 1, rng.randrange(p)}:
-            expect = sum(ctx.sub(g, h) == d for g in G.codes for h in H.codes)
+            expect = sum(ctx.sub(g, h) == d for g in G for h in H)
             assert oracle.difference_count_brute(G, H, d) == expect
 
 

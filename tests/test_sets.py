@@ -25,13 +25,16 @@ def F(p, m=1):
 def test_eset_basics():
     ctx = F(7)
     s = ESet(ctx, [4, 1, 2, 4, 1])
-    assert s.codes == (1, 2, 4)
+    assert s.codes.tolist() == [1, 2, 4]
     assert len(s) == 3
     assert list(s) == [1, 2, 4]
     assert 2 in s and 3 not in s and -1 not in s and 7 not in s
     assert np.int64(4) in s and np.int64(0) not in s
     assert not any(x in ESet(ctx, []) for x in (-1, 0, 1, 7))
-    assert set(ESet.__slots__) == {"ctx", "codes"}  # membership bisects codes, no cache
+    # below the least code and above the greatest, in the field and out of it
+    assert 0 not in s and 5 not in s and 6 not in s and 2 ** 70 not in s and -2 ** 70 not in s
+    assert all(type(s.__contains__(x)) is bool for x in (-1, 0, 1, 3, 6, 7))
+    assert set(ESet.__slots__) == {"ctx", "codes"}  # membership searches codes, no cache
     assert bool(s) and not bool(ESet(ctx, []))
     assert s == ESet(ctx, (4, 2, 1))
     assert s != ESet(F(11), [1, 2, 4])
@@ -42,9 +45,9 @@ def test_eset_basics():
 def test_eset_text_roundtrip():
     ctx = F(7)
     s = ESet.from_text(ctx, " 4, 1 ,2 ")
-    assert s.codes == (1, 2, 4)
+    assert s.codes.tolist() == [1, 2, 4]
     assert s.to_text() == "1,2,4"
-    assert ESet.from_text(ctx, "").codes == ()
+    assert ESet.from_text(ctx, "").codes.tolist() == []
 
 
 def test_eset_range_check():
@@ -70,10 +73,18 @@ def test_eset_from_arrays(dtype):
     for arr in (codes, np.sort(codes), np.unique(codes), codes[::3], np.unique(codes)[::-1]):
         s = ESet(ctx, arr)
         assert s == ESet(ctx, arr.tolist()) and hash(s) == hash(ESet(ctx, arr.tolist()))
-        assert all(type(c) is int for c in s.codes)
-    assert ESet(ctx, codes) == expect and ESet(ctx, np.unique(codes)).codes == expect.codes
-    assert ESet(ctx, np.zeros(0, dtype=dtype)).codes == ()
-    assert ESet(ctx, np.array([5], dtype=dtype)).codes == (5,)
+        assert s.codes.dtype == np.int64 and not np.shares_memory(s.codes, arr)
+        assert all(type(c) is int for c in s)
+    assert ESet(ctx, codes) == expect
+    assert np.array_equal(ESet(ctx, np.unique(codes)).codes, expect.codes)
+    empty = ESet(ctx, np.zeros(0, dtype=dtype))
+    assert empty.codes.tolist() == [] and empty == ESet(ctx, []) and hash(empty) == hash(ESet(ctx, []))
+    assert ESet(ctx, np.array([5], dtype=dtype)).codes.tolist() == [5]
+    # the set keeps its own copy: writing into the source array leaves it as it was
+    arr = np.unique(codes)
+    s = ESet(ctx, arr)
+    arr[0] = 1
+    assert s == expect
 
 
 def test_eset_array_rejects():
@@ -84,28 +95,69 @@ def test_eset_array_rejects():
         with pytest.raises(ValueError):
             ESet(ctx, bad)
     # object arrays are cleaned code by code, as lists are
-    assert ESet(ctx, np.array([4, 1, 4], dtype=object)).codes == (1, 4)
+    assert ESet(ctx, np.array([4, 1, 4], dtype=object)).codes.tolist() == [1, 4]
+
+
+@pytest.mark.parametrize("pm", [(7, 1), (10007, 1), (3, 5), (2, 14)])
+def test_eset_codes_are_one_read_only_int64_array(pm):
+    # every set, however it is built, holds its codes as one read-only,
+    # strictly increasing int64 array, and iterating it yields Python ints
+    ctx = F(*pm)
+    rng = random.Random(f"format:{pm}")
+    raw = [rng.randrange(ctx.q) for _ in range(40)] + [0, ctx.q - 1, 0]
+    A = ESet(ctx, raw)
+    built = [A, ESet(ctx, np.array(raw)), ESet(ctx, np.array(raw, dtype=np.uint32)),
+             ESet(ctx, reversed(raw)), ESet(ctx, []), product_set(A, A), sum_set(A, A),
+             difference_set(A, A), shift(A, 1), dilate(A, ctx.q - 1), ctx.subfield(1),
+             ESet.from_text(ctx, ",".join(map(str, raw)))]
+    for s in built:
+        codes = s.codes
+        assert type(codes) is np.ndarray and codes.dtype == np.int64 and codes.ndim == 1
+        assert not codes.flags.writeable
+        with pytest.raises(ValueError):
+            codes[:1] = 0
+        assert (codes[1:] > codes[:-1]).all()
+        assert all(type(c) is int for c in s) and list(s) == codes.tolist()
+        assert len(s) == codes.size and bool(s) == (codes.size > 0)
+    assert list(A) == sorted(set(raw))
+
+
+def test_no_module_but_sets_converts_codes():
+    # ESet.codes is already the int64 array every kernel reads, so no other
+    # module wraps a .codes attribute in np.asarray or np.array
+    found = []
+    for path in sorted(Path(sets.__file__).parent.glob("*.py")):
+        if path.stem == "sets":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("asarray", "array")
+                    and getattr(node.func.value, "id", None) == "np"
+                    and any(isinstance(sub, ast.Attribute) and sub.attr == "codes"
+                            for arg in node.args for sub in ast.walk(arg))):
+                found.append(f"{path.stem}:{node.lineno}")
+    assert found == []
 
 
 def test_product_set_frozen():
     ctx = F(7)
     out = product_set(ESet(ctx, [1, 2, 4]), ESet(ctx, [1, 3]))
-    assert out.codes == (1, 2, 3, 4, 5, 6)
+    assert out.codes.tolist() == [1, 2, 3, 4, 5, 6]
 
 
 def test_sum_and_difference_frozen():
     ctx = F(7)
     g = ESet(ctx, [1, 2, 4])
-    assert difference_set(g, g).codes == tuple(range(7))
-    assert sum_set(ESet(ctx, [1, 2]), ESet(ctx, [0, 5])).codes == (0, 1, 2, 6)
+    assert difference_set(g, g).codes.tolist() == list(range(7))
+    assert sum_set(ESet(ctx, [1, 2]), ESet(ctx, [0, 5])).codes.tolist() == [0, 1, 2, 6]
 
 
 def test_shift_and_dilate():
     ctx = F(7)
     g = ESet(ctx, [1, 2, 4])
-    assert shift(g, 1).codes == (2, 3, 5)
-    assert dilate(g, 2).codes == (1, 2, 4)  # subgroup, invariant under itself
-    assert dilate(g, 3).codes == (3, 5, 6)
+    assert shift(g, 1).codes.tolist() == [2, 3, 5]
+    assert dilate(g, 2).codes.tolist() == [1, 2, 4]  # subgroup, invariant under itself
+    assert dilate(g, 3).codes.tolist() == [3, 5, 6]
     with pytest.raises(ValueError):
         dilate(g, 0)
     with pytest.raises(ValueError):
@@ -167,7 +219,7 @@ def test_symmetric_prime_tiles(tile, force_kernel, monkeypatch):
         for codes in cases:
             X = ESet(ctx, codes)
             xa = np.array(X.codes, dtype=np.int64)
-            copy = tuple(list(X.codes))
+            copy = X.codes.copy()
             nb = _tiles_of_width(p, len(X), len(X), tile)
             routes.add(nb >= 2)
             for op, scalar in ((Field.vadd, ctx.add), (Field.vsub, ctx.sub)):
@@ -264,10 +316,11 @@ def test_dense_count_memory_stays_below_two_count_arrays():
     rng = random.Random("dense-memory")
     xs = rng.sample(range(1, ctx.q), 400)
     ys = rng.sample(range(1, ctx.q), 400)
+    xa, ya = (np.array(v, dtype=np.int64) for v in (xs, ys))
     assert sets._choose_kernel(ctx, Field.vmul, len(xs), len(ys)) == "dense"
     tracemalloc.start()
     try:
-        values, counts = sets._pair_counts(ctx, xs, ys, Field.vmul)
+        values, counts = sets._pair_counts(ctx, xa, ya, Field.vmul)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -428,12 +481,12 @@ def test_coset_scan_matches_scalar_loop(pm, block, monkeypatch):
     g = ctx.generator()
     for S in (ESet(ctx, rng.sample(range(ctx.q), 12)), ctx.subfield(2),
               ESet(ctx, [0, 1, ctx.q - 1])):
-        members = set(S.codes)
+        members = set(S)
         expect = []
         for nu in (1, 2, 3):
             if pm[1] % nu or nu == pm[1]:
                 continue
-            F_nu = ctx.subfield(nu).codes
+            F_nu = ctx.subfield(nu)
             c = 1
             for _ in range((ctx.q - 1) // (ctx.p ** nu - 1)):
                 expect.append((nu, c, sum(ctx.mul(c, f) in members for f in F_nu)))
@@ -460,9 +513,9 @@ def test_product_set_matches_python_sets(pm, data):
     pool = st.lists(st.integers(0, ctx.q - 1), min_size=1, max_size=8)
     A = ESet(ctx, data.draw(pool))
     B = ESet(ctx, data.draw(pool))
-    expect = sorted({ctx.mul(a, b) for a in A.codes for b in B.codes})
-    assert list(product_set(A, B).codes) == expect
-    expect = sorted({ctx.add(a, b) for a in A.codes for b in B.codes})
-    assert list(sum_set(A, B).codes) == expect
-    expect = sorted({ctx.sub(a, b) for a in A.codes for b in B.codes})
-    assert list(difference_set(A, B).codes) == expect
+    expect = sorted({ctx.mul(a, b) for a in A for b in B})
+    assert product_set(A, B).codes.tolist() == expect
+    expect = sorted({ctx.add(a, b) for a in A for b in B})
+    assert sum_set(A, B).codes.tolist() == expect
+    expect = sorted({ctx.sub(a, b) for a in A for b in B})
+    assert difference_set(A, B).codes.tolist() == expect

@@ -236,7 +236,7 @@ def test_subgroup_orders():
 
 
 def _orbit_energy(G):
-    return subgroups._orbit_energy(G.ctx, np.asarray(G.elements.codes, dtype=np.int64))
+    return subgroups._orbit_energy(G.ctx, G.elements.codes)
 
 
 @pytest.mark.parametrize("pm", [(2, 3), (2, 10), (3, 5), (7, 4), (101, 1), (8191, 1)])
@@ -245,14 +245,14 @@ def test_orbit_energy_matches_kernel(pm, monkeypatch):
     # (for odd q) with -1 in G and not
     ctx = make_field(*pm)
     kernel_calls = []
-    real_pair_counts = subgroups._pair_counts
+    real_pair_counts = sets._pair_counts
 
     def spy(ctx_, xs, ys, op):
         assert xs is ys and xs.dtype == np.int64 and op is Field.vadd
         kernel_calls.append(xs.size)
         return real_pair_counts(ctx_, xs, ys, op)
 
-    monkeypatch.setattr(subgroups, "_pair_counts", spy)
+    monkeypatch.setattr(sets, "_pair_counts", spy)
     minus_one = set()
     expected = {}
     for n in divisors(ctx.q - 1):
@@ -282,18 +282,23 @@ def test_orbit_energy_validation():
 
 
 def test_small_subgroup_energy_checks_the_pair_mass(monkeypatch):
-    # below the crossover E+(G) is the pair count's sum of squares, and a
-    # count that loses a pair fails the |G|^2 mass check, as energy's does
+    # below the crossover E+(G) is energy(G), and a pair count that loses a
+    # pair fails energy's |A||B| mass check, for both kinds and through
+    # subgroup_additive_energy alike
     ctx = make_field(101)
-    codes = np.asarray(subgroup_of_order(ctx, 5).elements.codes, dtype=np.int64)
-    assert subgroups._subgroup_energy(ctx, codes) == energy(ESet(ctx, codes)).value
-    real = subgroups._pair_counts
+    G = subgroup_of_order(ctx, 5)
+    A, B = ESet(ctx, [1, 2, 3, 50]), ESet(ctx, [5, 7])
+    assert subgroup_additive_energy(G) == energy(G.elements).value
+    real = sets._pair_counts
 
     def short(*args):
         values, counts = real(*args)
         counts[0] -= 1
         return values, counts
 
-    monkeypatch.setattr(subgroups, "_pair_counts", short)
-    with pytest.raises(RuntimeError, match="mass"):
-        subgroups._subgroup_energy(ctx, codes)
+    monkeypatch.setattr(sets, "_pair_counts", short)
+    calls = (lambda: energy(G.elements), lambda: energy(A, B),
+             lambda: energy(A, B, kind="multiplicative"), lambda: subgroup_additive_energy(G))
+    for call in calls:
+        with pytest.raises(RuntimeError, match="mass does not match"):
+            call()
