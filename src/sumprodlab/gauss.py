@@ -8,7 +8,10 @@ cross term once; no generator or discrete-log shortcuts), then the trace
 Tr(a * y) of every entry y, read off y's digits against the form
 (Tr(a * t^i))_{i<m} (Field.vtrace), so a character pays no array
 multiplication; the form is built once per character and read by both
-evaluations.  The subgroup path uses the exact decomposition
+evaluations.  The table takes (q - 1) / gcd(n, q - 1) + 1 values, 0 and
+G_n for n | q - 1, so each trace is taken once per distinct code and
+gathered back into table order: the sum still runs over all q entries,
+x by x.  The subgroup path uses the exact decomposition
 S_n(a) = 1 + n * S(a, G_n) for n | q - 1.  The two are computed
 independently and must agree exactly, in integers: x -> x^n sends 0 to 0
 and the units n-to-1 onto G_n, so the traces Tr(a * x^n) over all x are n
@@ -17,10 +20,11 @@ bound and Konyagin's energy bound are exact theorems and are asserted
 (plus 1e-6 rounding slack), while the power-saving comparison bound is
 report-only.
 
-The x^n table, G_n's codes and E+(G_n) depend on (field, n) alone: one
-cached entry per (field, n), the 16 most recent kept, serves every character
-a of it.  G_n comes from subgroups.subgroup_of_order and E+(G_n) from
-subgroups.subgroup_additive_energy, as for any other subgroup.
+The x^n table, its distinct codes, G_n's codes and E+(G_n) depend on
+(field, n) alone: one cached entry per (field, n), the 16 most recent kept,
+serves every character a of it.  G_n comes from subgroups.subgroup_of_order
+and E+(G_n) from subgroups.subgroup_additive_energy, as for any other
+subgroup.
 
 Complex accumulation uses numpy's fixed pairwise reduction over element
 codes in increasing order, which is bit-reproducible for a given platform.
@@ -94,11 +98,14 @@ class _Tables:
 
         For n > 1 dividing q - 1, the table is that of n / ell raised to the power
         ell, for the smallest prime ell of q - 1 dividing n; the table of n / ell
-        comes from its own cached entry, or is chained the same way.  A scan over
-        the divisors of q - 1 in ascending order so pays at most log2(ell) squarings
-        and as many multiplications per table, against about log2(n) of each from
-        the codes.  ell is taken from factorize(q - 1), never from factorize(n);
-        other n are built from the codes directly, so chains are at most log2(q) long.
+        comes from its own cached entry, or is chained the same way.  Only its
+        distinct codes, (q - 1) * ell / n + 1 of them, are raised, and the
+        results are put back in its table order (in_table_order).  A scan over
+        the divisors of q - 1 in ascending order so pays at most log2(ell)
+        squarings and as many multiplications per table, on ever fewer codes,
+        against about log2(n) of each on all q codes.  ell is taken from
+        factorize(q - 1), never from factorize(n); other n are built from the
+        codes directly, so chains are at most log2(q) long.
 
         Deliberately not gpow[n * dlog(x)]: the subgroup side of the check
         S_n = 1 + n * S(a, G_n) is built from the generator powers, so a wrong
@@ -107,8 +114,38 @@ class _Tables:
         ctx, n = self.ctx, self.n
         if n > 1 and (ctx.q - 1) % n == 0:
             ell = next(ell for ell, _ in factorize(ctx.q - 1) if n % ell == 0)
-            return _read_only(_vpow(ctx, _tables(ctx, n // ell).powers, ell))
+            prev = _tables(ctx, n // ell)
+            return _read_only(prev.in_table_order(_vpow(ctx, prev.distinct, ell)))
         return _read_only(_vpow(ctx, np.arange(ctx.q, dtype=np.int64), n))
+
+    @functools.cached_property
+    def distinct(self):
+        """The ascending distinct codes of the x^n table, read-only int32.
+
+        For n | q - 1 they are 0 and the (q - 1) / n elements of G_n, read off
+        the table itself, so neither the chain nor the direct sum reads the
+        generator powers.
+        """
+        counts = np.bincount(self.powers, minlength=self.ctx.q)
+        return _read_only(np.flatnonzero(counts).astype(np.int32))
+
+    def in_table_order(self, values):
+        """values[i], given for the code distinct[i], put at every x with x^n = distinct[i].
+
+        values are scattered into a q-length lookup of their dtype, which
+        the table indexes.
+        """
+        lookup = np.zeros(self.ctx.q, dtype=values.dtype)
+        lookup[self.distinct] = values
+        return lookup.take(self.powers)
+
+    def traces(self, form):
+        """Tr(a * x^n) for every code x, in table order, form = ctx.trace_form(a).
+
+        vtrace reads each distinct code once, which gives the int64 array
+        that vtrace over the whole table would.
+        """
+        return self.in_table_order(self.ctx.vtrace(self.distinct, form=form))
 
     @functools.cached_property
     def subgroup(self):
@@ -124,18 +161,17 @@ def _tables(ctx: Field, n: int) -> _Tables:
     return _Tables(ctx, n)
 
 
-def _char_sum_over_codes(ctx, form, codes):
-    """(sum of psi_a over codes, the traces Tr(a * code) it summed), form = ctx.trace_form(a).
+def _psi_sum(ctx, tr):
+    """Sum of psi over the traces tr: exp(2*pi*i * k / p) for each k in tr.
 
     For p up to TABLE_LIMIT the characters are read from ctx.roots.  Above
-    it exp(2*pi*i * k / p) is evaluated, by the same formula, on the summed
-    traces alone, since a table of p complex roots would not fit.
+    it they are evaluated, by the same formula, on the summed traces alone,
+    since a table of p complex roots would not fit.
     """
-    tr = ctx.vtrace(codes, form=form)
     if ctx.p > TABLE_LIMIT:
         ang = 2.0 * np.pi * tr / ctx.p
-        return complex(np.sum(np.cos(ang) + 1j * np.sin(ang))), tr
-    return complex(np.sum(ctx.roots[tr])), tr
+        return complex(np.sum(np.cos(ang) + 1j * np.sin(ang)))
+    return complex(np.sum(ctx.roots[tr]))
 
 
 def _evaluate(ctx, n, a):
@@ -145,8 +181,9 @@ def _evaluate(ctx, n, a):
     x = 0, trace for trace; otherwise this raises RuntimeError.
     """
     form, tables = ctx.trace_form(a), _tables(ctx, n)
-    ssum, subgroup_traces = _char_sum_over_codes(ctx, form, tables.subgroup[0])
-    direct, direct_traces = _char_sum_over_codes(ctx, form, tables.powers)
+    subgroup_traces = ctx.vtrace(tables.subgroup[0], form=form)
+    direct_traces = tables.traces(form)
+    direct, ssum = _psi_sum(ctx, direct_traces), _psi_sum(ctx, subgroup_traces)
     expect = n * np.bincount(subgroup_traces, minlength=ctx.p)
     expect[0] += 1
     if not np.array_equal(np.bincount(direct_traces, minlength=ctx.p), expect):
@@ -154,24 +191,32 @@ def _evaluate(ctx, n, a):
     return direct, ssum
 
 
-def _validate(ctx, n, a, need_divisor) -> int:
+def _character(ctx, a) -> int:
+    """a as a Python int (numpy integers pass), once it is a nonzero code of ctx."""
+    k = _index(a)
+    ctx.check(a if k is None else k)
+    if k == 0:
+        raise ValueError("character index a must be nonzero")
+    return k
+
+
+def _validate(ctx, n, a, need_divisor) -> tuple[int, int]:
+    """(n, a) as Python ints, once both are valid for a direct sum in ctx."""
     k = _index(n)
     if k is None or k < 1:
         raise ValueError(f"power index must be a positive integer, got {n!r}")
-    ctx.check(a)
-    if a == 0:
-        raise ValueError("character index a must be nonzero")
+    a = _character(ctx, a)
     if ctx.q > MAX_DIRECT_Q:
         raise ValueError(f"q = {ctx.q} exceeds the summation guard {MAX_DIRECT_Q}")
     if need_divisor and (ctx.q - 1) % k != 0:
         raise ValueError(f"n = {n} must divide q - 1 = {ctx.q - 1}")
-    return k
+    return k, a
 
 
 def gauss_sum(ctx: Field, n: int, a) -> complex:
     """Direct evaluation of sum over all x of psi_a(x^n)."""
-    n = _validate(ctx, n, a, need_divisor=False)
-    return _char_sum_over_codes(ctx, ctx.trace_form(a), _tables(ctx, n).powers)[0]
+    n, a = _validate(ctx, n, a, need_divisor=False)
+    return _psi_sum(ctx, _tables(ctx, n).traces(ctx.trace_form(a)))
 
 
 def subgroup_character_sum(ctx: Field, G, a) -> complex:
@@ -179,10 +224,8 @@ def subgroup_character_sum(ctx: Field, G, a) -> complex:
     elements = G.elements if isinstance(G, SubgroupInfo) else G
     if not isinstance(elements, ESet) or elements.ctx != ctx:
         raise ValueError("subgroup does not live in this field")
-    ctx.check(a)
-    if a == 0:
-        raise ValueError("character index a must be nonzero")
-    return _char_sum_over_codes(ctx, ctx.trace_form(a), elements.codes)[0]
+    a = _character(ctx, a)
+    return _psi_sum(ctx, ctx.vtrace(elements.codes, form=ctx.trace_form(a)))
 
 
 def gauss_sum_by_subgroup(ctx: Field, n: int, a) -> complex:
@@ -191,7 +234,7 @@ def gauss_sum_by_subgroup(ctx: Field, n: int, a) -> complex:
     Every nonzero x^n hits each element of G_n exactly n times, so the two
     evaluations must agree trace for trace; any disagreement raises.
     """
-    n = _validate(ctx, n, a, need_divisor=True)
+    n, a = _validate(ctx, n, a, need_divisor=True)
     return 1 + n * _evaluate(ctx, n, a)[1]
 
 
@@ -256,7 +299,7 @@ def gauss_bounds_report(ctx: Field, n: int, a) -> GaussReport:
     """
     if _index(n) is not None and n < 2:
         raise ValueError("bounds need n >= 2 (n = 1 gives the zero sum)")
-    n = _validate(ctx, n, a, need_divisor=True)
+    n, a = _validate(ctx, n, a, need_divisor=True)
     direct, ssum = _evaluate(ctx, n, a)
     magnitude = abs(direct)
     weil = (n - 1) * math.sqrt(ctx.q)

@@ -4,7 +4,10 @@ Everything here is deliberately literal: nested loops and linear scans, no
 histograms, no membership tables, no generator tricks.  Each field
 operation is paid once per pair: the energy computes a∘b once for each
 (a, b) and then still compares every ordered quadruple, by linear scans
-of that list.  Budgets guard against accidental quartic blowups.
+of that list.  Each set is iterated once per call: an inner loop runs over
+a list of the inner set's codes bound before the outer loop, so a code
+becomes a Python int once, not once per outer element.  Budgets guard
+against accidental quartic blowups.
 """
 
 from __future__ import annotations
@@ -45,15 +48,16 @@ def energy_brute(A: ESet, B: ESet, kind: str, budget: OracleBudget = DEFAULT_BUD
     if kind not in ("additive", "multiplicative"):
         raise ValueError(f"unknown energy kind {kind!r}")
     _check_budget(ctx, (len(A) * len(B)) ** 2, budget)
+    inner = list(B)
     if ctx.m == 1:
         p = ctx.p
         if kind == "additive":
-            values = [(a + b) % p for a in A for b in B]
+            values = [(a + b) % p for a in A for b in inner]
         else:
-            values = [a * b % p for a in A for b in B]
+            values = [a * b % p for a in A for b in inner]
     else:
         op = ctx.add if kind == "additive" else ctx.mul
-        values = [op(a, b) for a in A for b in B]
+        values = [op(a, b) for a in A for b in inner]
     return sum(values.count(v) for v in values)
 
 
@@ -62,8 +66,9 @@ def product_set_brute(A: ESet, B: ESet, budget: OracleBudget = DEFAULT_BUDGET) -
     ctx = _same_field(A, B)
     _check_budget(ctx, len(A) * len(B), budget)
     vals = []
+    inner = list(B)
     for a in A:
-        for b in B:
+        for b in inner:
             vals.append(ctx.mul(a, b))
     vals.sort()
     out = []
@@ -79,6 +84,7 @@ def triple_cover_brute(aprime: ESet, cset: ESet, y1, y2, y3,
     ctx = _same_field(aprime, cset)
     _check_budget(ctx, 3 * len(cset) * max(1, len(aprime)), budget)
     total = 0
+    inner = list(aprime)
     for c in cset:
         if c == 0:
             raise ValueError("0 in C has no inverse")
@@ -86,7 +92,7 @@ def triple_cover_brute(aprime: ESet, cset: ESet, y1, y2, y3,
         hits = 0
         for y in (y1, y2, y3):
             z = ctx.mul(y, ic)
-            for a in aprime:
+            for a in inner:
                 if a == z:
                     hits += 1
                     break
@@ -100,15 +106,16 @@ def difference_count_brute(G: ESet, H: ESet, d, budget: OracleBudget = DEFAULT_B
     ctx = _same_field(G, H)
     _check_budget(ctx, len(G) * len(H), budget)
     count = 0
+    inner = list(H)
     if ctx.m == 1:
         p = ctx.p
         for g in G:
-            for h in H:
+            for h in inner:
                 if (g - h) % p == d:
                     count += 1
         return count
     for g in G:
-        for h in H:
+        for h in inner:
             if ctx.sub(g, h) == d:
                 count += 1
     return count
@@ -121,8 +128,9 @@ def subfield_intersection_brute(elements: ESet, nu: int,
     F = ctx.subfield(nu)
     _check_budget(ctx, len(elements) * len(F), budget)
     count = 0
+    inner = list(F)
     for z in elements:
-        for f in F:
+        for f in inner:
             if z == f:
                 count += 1
                 break

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -99,6 +100,23 @@ def test_gauss_csv_and_json(capsys):
                        "--json")
     payload = json.loads(out)
     assert abs(payload["re"]) < 1e-9 and abs(payload["im"]) < 1e-9
+
+
+# SHA-256 of the printed JSON, recorded before the power tables were built
+# on distinct codes; the floats must not move by one bit
+GAUSS_JSON_SHA256 = {
+    ("--p", "3", "--m", "8", "--n", "160", "--a", "6560"):
+        "88d25e3219ddb12ce40b45c657c3f308a8cfe5e10e1ab12cd15067beb5b9870d",
+    ("--p", "8191", "--n", "45", "--a", "1"):
+        "f19b9eac39479138549e631595e9f2b3f41dfc1513dd027422b8115b76cf63ce",
+}
+
+
+@pytest.mark.parametrize("args", list(GAUSS_JSON_SHA256))
+def test_gauss_json_bytes_pinned(capsys, args):
+    code, out, _ = run(capsys, "gauss", *args, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GAUSS_JSON_SHA256[args]
 
 
 def test_count(capsys):

@@ -1,5 +1,6 @@
 import ast
 import cmath
+import hashlib
 import json
 import math
 import tracemalloc
@@ -10,7 +11,7 @@ import pytest
 
 from sumprodlab import gauss
 from sumprodlab.energy import energy
-from sumprodlab.fields import TABLE_LIMIT, Field, divisors, make_field
+from sumprodlab.fields import TABLE_LIMIT, Field, divisors, factorize, make_field
 from sumprodlab.gauss import (GAUSS_CSV_HEADER, MAX_DIRECT_Q, GaussReport,
                               gauss_bounds_report, gauss_sum,
                               gauss_sum_by_subgroup, subgroup_character_sum)
@@ -193,34 +194,125 @@ def test_numpy_power_index_reports_as_int():
     assert gauss_sum_by_subgroup(f13, np.int64(6), 5) == gauss_sum_by_subgroup(f13, 6, 5)
 
 
+def test_numpy_character_reports_as_int():
+    f5 = make_field(5)
+    rep = gauss_bounds_report(f5, 2, np.int64(1))
+    assert type(rep.a) is int and rep == gauss_bounds_report(f5, 2, 1)
+    assert json.loads(json.dumps(rep.as_dict()))["a"] == 1
+    f13 = make_field(13)
+    G = nth_power_subgroup(f13, 3)
+    assert gauss_sum(f13, 4, np.int32(5)) == gauss_sum(f13, 4, 5)
+    assert gauss_sum_by_subgroup(f13, 6, np.uint8(5)) == gauss_sum_by_subgroup(f13, 6, 5)
+    assert subgroup_character_sum(f13, G, np.int64(2)) == subgroup_character_sum(f13, G, 2)
+    calls = (lambda a: gauss_sum(f13, 2, a), lambda a: gauss_sum_by_subgroup(f13, 2, a),
+             lambda a: gauss_bounds_report(f13, 2, a), lambda a: subgroup_character_sum(f13, G, a))
+    for call in calls:
+        for bad in (True, np.bool_(True), 1.0, np.float64(1.0)):  # none is the code 1
+            with pytest.raises(ValueError, match="not an element code"):
+                call(bad)
+        with pytest.raises(ValueError, match="nonzero"):
+            call(np.int64(0))
+        with pytest.raises(ValueError, match="not an element code"):
+            call(np.int64(13))
+
+
+# SHA-256 over csv_row() of every report below, recorded before the power
+# tables were built on distinct codes; the floats must not move by one bit
+GAUSS_CSV_SHA256 = "6128099d86be3ef129592a2253c6c8829e0673492000a9880c0c575c8a045321"
+
+
+def test_gauss_csv_bytes_pinned():
+    digest = hashlib.sha256()
+    for pm in ((7, 4), (5, 5), (3, 8), (8191, 1)):
+        ctx = make_field(*pm)
+        for n in divisors(ctx.q - 1)[1:]:
+            for a in (1, ctx.q - 1):
+                row = gauss_bounds_report(ctx, n, a).csv_row()
+                digest.update((",".join(row) + "\n").encode())
+    assert digest.hexdigest() == GAUSS_CSV_SHA256
+
+
 def _literal_powers(ctx, n):
     return np.array([ctx.pow(x, n) for x in range(ctx.q)], dtype=np.int64)
 
 
-@pytest.mark.parametrize("pm", [(8191, 1), (3, 4), (2, 6), (5, 2)])
+def _exponent_powers(ctx, n):
+    """x^n for every code x through g^i -> g^(i * n mod (q - 1)), and 0 -> 0.
+
+    The generator-power route the power tables deliberately avoid, so it
+    shares no code with them; it checks a table where scalar pow is slow.
+    """
+    gp = ctx.generator_powers(ctx.q - 1)
+    out = np.zeros(ctx.q, dtype=np.int64)
+    out[gp] = gp[np.arange(ctx.q - 1) * n % (ctx.q - 1)]
+    return out
+
+
+CHAIN_FIELDS = [(8191, 1), (3, 4), (2, 6), (5, 2), (3, 8)]
+
+
+@pytest.mark.parametrize("pm", CHAIN_FIELDS)
 def test_chained_power_tables(pm, monkeypatch):
     ctx = make_field(*pm)
-    exponents = []
+    calls = []
     real_vpow = gauss._vpow
 
     def spy(ctx_, base, e):
-        exponents.append(e)
+        calls.append((e, len(base)))
         return real_vpow(ctx_, base, e)
 
     monkeypatch.setattr(gauss, "_vpow", spy)
-    primes = {ell for ell in divisors(ctx.q - 1) if ell > 1 and len(divisors(ell)) == 2}
-    for n in divisors(ctx.q - 1):  # ascending: every n > 1 raises a cached table to a prime
-        table = gauss._tables(ctx, n).powers
+    primes = [ell for ell, _ in factorize(ctx.q - 1)]
+    reference = {n: _exponent_powers(ctx, n) for n in divisors(ctx.q - 1)}
+    # scalar pow costs about 65 us a code in GF(3^8): there it checks the
+    # generator route at the smallest and largest n > 1, elsewhere at every n
+    slow = ctx.m == 8
+    for n in (divisors(ctx.q - 1)[1], ctx.q - 1) if slow else reference:
+        assert np.array_equal(reference[n], _literal_powers(ctx, n)), n
+    for n in divisors(ctx.q - 1):  # ascending: every n > 1 raises a cached entry's codes to a prime
+        entry = gauss._tables(ctx, n)
+        table, distinct = entry.powers, entry.distinct
         assert not table.flags.writeable and table.dtype == np.int32
-        assert np.array_equal(table, _literal_powers(ctx, n))
-    assert exponents[0] == 1 and set(exponents[1:]) <= primes
-    # a cold cache chains down through the divisors it needs
-    gauss._tables.cache_clear()
-    top = ctx.q - 1
-    assert np.array_equal(gauss._tables(ctx, top).powers, _literal_powers(ctx, top))
+        assert np.array_equal(table, reference[n])
+        assert not distinct.flags.writeable and distinct.dtype == np.int32
+        assert distinct.tolist() == sorted(set(reference[n].tolist()))
+        assert distinct.tolist() == [0] + nth_power_subgroup(ctx, n).elements.codes.tolist()
+    # the table of n / ell gives its distinct codes, (q - 1) * ell / n + 1 of
+    # them, and only those are raised to ell; the chain's root powers all q codes
+    assert calls[0] == (1, ctx.q)
+    for n, (e, size) in zip(divisors(ctx.q - 1)[1:], calls[1:], strict=True):
+        assert e == next(ell for ell in primes if n % ell == 0)
+        assert size == (ctx.q - 1) * e // n + 1
+    # a cold cache chains down through the divisors it needs, to the same tables
+    for n in divisors(ctx.q - 1):
+        gauss._tables.cache_clear()
+        entry = gauss._tables(ctx, n)
+        assert np.array_equal(entry.powers, reference[n])
+        assert entry.distinct.tolist() == sorted(set(reference[n].tolist()))
     # n not dividing q - 1 is built from the codes, whatever it shares with q - 1
+    calls.clear()
     for n in (ctx.q, 2 * (ctx.q - 1), 10 ** 9 + 7):
-        assert np.array_equal(gauss._tables(ctx, n).powers, _literal_powers(ctx, n))
+        expect = (_exponent_powers if slow else _literal_powers)(ctx, n)
+        assert np.array_equal(gauss._tables(ctx, n).powers, expect)
+    assert [size for _, size in calls] == [ctx.q] * 3
+
+
+@pytest.mark.parametrize("pm", CHAIN_FIELDS)
+def test_direct_sum_reads_no_generator_powers(pm, monkeypatch):
+    # the x^n tables, their distinct codes and the direct sums never read the
+    # generator powers, which build G_n on the other side of the check
+    ctx = Field(*pm)  # a field of its own, so no generator table is held
+
+    def refuse(*args):
+        raise AssertionError("the direct side read the generator powers")
+
+    monkeypatch.setattr(Field, "generator_powers", refuse)
+    monkeypatch.setattr(Field, "unit_subgroup", refuse)
+    sums = {(n, a): gauss_sum(ctx, n, a) for n in divisors(ctx.q - 1) for a in (1, ctx.q - 1)}
+    monkeypatch.undo()
+    gauss._tables.cache_clear()
+    for (n, a), value in sums.items():
+        assert gauss._evaluate(ctx, n, a)[0] == value
 
 
 @pytest.mark.parametrize("pm", [(8191, 1), (3, 4), (2, 6), (5, 2), (3, 9)])
@@ -424,8 +516,13 @@ def test_perturbed_power_table_raises(pm, n, monkeypatch):
     real = gauss._vpow
 
     def perturbed(ctx_, base, e):
+        # entry 1 is the code 1 in the chain's root (n = 1, built from all
+        # codes), so 1^n = 0 in every table chained from it and counts at
+        # trace 0 instead of Tr(a); at each chained step it is also the
+        # predecessor's smallest distinct unit, so every x the predecessor
+        # sends there goes to 0 as well
         table = real(ctx_, base, e)
-        table[1] = 0  # 1^n = 1 now counts at trace 0 instead of Tr(a)
+        table[1] = 0
         return table
 
     monkeypatch.setattr(gauss, "_vpow", perturbed)

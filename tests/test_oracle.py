@@ -132,6 +132,41 @@ def test_subfield_intersection_brute():
     assert oracle.subfield_intersection_brute(ESet(ctx, [2, 3]), 1) == 0
 
 
+def test_each_set_iterated_once_per_call(monkeypatch):
+    # an inner loop reads a list bound once per call, not a fresh iteration
+    # of the set (one tolist() of its codes) per outer element
+    ctx = make_field(3, 3)
+    A, B, C = ESet(ctx, [0, 1, 5, 7, 20]), ESet(ctx, [2, 3, 26]), ESet(ctx, [1, 4, 13])
+    F = ctx.subfield(1)
+    iterated = []
+    real = ESet.__iter__
+
+    def spy(self):
+        iterated.append(self)
+        return real(self)
+
+    monkeypatch.setattr(ESet, "__iter__", spy)
+    calls = [
+        (lambda: oracle.energy_brute(A, B, "additive"), [A, B]),
+        (lambda: oracle.energy_brute(A, B, "multiplicative"), [A, B]),
+        (lambda: oracle.product_set_brute(A, B), [A, B]),
+        (lambda: oracle.difference_count_brute(A, B, 1), [A, B]),
+        (lambda: oracle.triple_cover_brute(A, C, 1, 2, 4), [A, C]),
+        (lambda: oracle.subfield_intersection_brute(A, 1), [A, F]),
+    ]
+    for call, sets in calls:
+        iterated.clear()
+        call()
+        assert sorted(map(id, iterated)) == sorted(map(id, sets))
+    p7 = make_field(7)
+    G, H = ESet(p7, [1, 2, 4]), ESet(p7, [3, 5, 6])
+    for call in (lambda: oracle.energy_brute(G, H, "additive"),
+                 lambda: oracle.difference_count_brute(G, H, 1)):
+        iterated.clear()
+        call()
+        assert sorted(map(id, iterated)) == sorted(map(id, [G, H]))
+
+
 def test_budget_guards():
     tight = oracle.OracleBudget(max_quadruples=10, max_q=64)
     ctx = make_field(13)
