@@ -81,7 +81,7 @@ def shifted_subgroup_ratio(gamma: ESet, x) -> float:
     under multiplication.
     """
     ctx = gamma.ctx
-    ctx.check(x)
+    x = ctx.code(x)
     if x == 0:
         raise ValueError("shift must be nonzero")
     n = len(gamma)
@@ -102,11 +102,9 @@ def triple_cover_count(aprime: ESet, cset: ESet, y1, y2, y3) -> int:
     y/c is in A' exactly when y is in c*A', a row of |A'| distinct products
     in C x A'; c counts when its row holds every distinct y."""
     ctx = _same_field(aprime, cset)
-    for y in (y1, y2, y3):
-        ctx.check(y)
+    ys = {ctx.code(y) for y in (y1, y2, y3)}
     if 0 in cset:
         raise ValueError("0 in C has no inverse")
-    ys = {y1, y2, y3}
     hits = _row_hits(ctx, cset.codes, aprime.codes, list(ys))
     return int(np.count_nonzero(hits == len(ys)))
 
@@ -156,8 +154,7 @@ def product_shift_identity(ctx, a1, a2, a3, c, b, d) -> bool:
     and pairwise distinct a_i, which makes the y_i pairwise distinct and the
     divisions well defined.
     """
-    for v in (a1, a2, a3, c, b, d):
-        ctx.check(v)
+    a1, a2, a3, c, b, d = (ctx.code(v) for v in (a1, a2, a3, c, b, d))
     if d == 0:
         raise ValueError("shift d must be nonzero")
     if c == 0:
@@ -186,7 +183,7 @@ class TripleWitness:
 def make_triple_witness(A: ESet, C: ESet, d, y1, y2, y3) -> TripleWitness:
     """Build the witness used by the chain: ratios of (y1, y2, y3) plus its cover count."""
     ctx = _same_field(A, C)
-    ctx.check(d)
+    d, y1, y2, y3 = (ctx.code(v) for v in (d, y1, y2, y3))
     if d == 0:
         raise ValueError("shift d must be nonzero")
     if y1 == y2 or y1 == y3 or y2 == y3:
@@ -231,7 +228,7 @@ def cauchy_schwarz_chain(A: ESet, B: ESet, C: ESet, d, w: TripleWitness) -> Cauc
     All three are theorems; RuntimeError on violation means an arithmetic bug.
     """
     ctx = _same_field(A, B, C)
-    ctx.check(d)
+    d = ctx.code(d)
     if d == 0:
         raise ValueError("shift d must be nonzero")
     if len(A) != len(B):
@@ -301,7 +298,7 @@ def growth_chain_report(A: ESet, B: ESet, C: ESet, d) -> ChainReport:
     K^14 * L^12 / |A| (expected bounded below); neither is asserted.
     """
     ctx = _same_field(A, B, C)
-    ctx.check(d)
+    d = ctx.code(d)
     if not (len(A) == len(B) == len(C)):
         raise ValueError("the chain needs |A| = |B| = |C|")
     if len(A) < 2:

@@ -320,6 +320,13 @@ class Field:
             return x
         raise ValueError(f"{x!r} is not an element code of {self!r}")
 
+    def code(self, x) -> int:
+        """x as a Python int once it is an element code; unlike check, numpy integers pass."""
+        if type(x) is not int:
+            v = _index(x)
+            x = x if v is None else v
+        return self.check(x)
+
     def decode(self, x) -> tuple[int, ...]:
         """Coefficient vector (a0, ..., a_{m-1}) of an element code."""
         self.check(x)

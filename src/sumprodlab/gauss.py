@@ -193,11 +193,10 @@ def _evaluate(ctx, n, a):
 
 def _character(ctx, a) -> int:
     """a as a Python int (numpy integers pass), once it is a nonzero code of ctx."""
-    k = _index(a)
-    ctx.check(a if k is None else k)
-    if k == 0:
+    a = ctx.code(a)
+    if a == 0:
         raise ValueError("character index a must be nonzero")
-    return k
+    return a
 
 
 def _validate(ctx, n, a, need_divisor) -> tuple[int, int]:

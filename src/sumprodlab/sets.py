@@ -10,28 +10,27 @@ operations return new ESets and require both operands to live in the same
 field.
 
 Set operations and energies rest on one pair count, _pair_counts: how
-often each op(x, y) occurs over X x Y.  It asks _choose_kernel which of
-four exact kernels to run, and runs it:
+often each op(x, y) occurs over X x Y.  Four exact kernels count it:
 
-- _tiled_counts ("tiles"): prime-field sums and differences, up to
-  TABLE_LIMIT, when [0, p) splits into nb >= 2 intervals of about _TILE
-  codes; each pair of intervals adds its local sums into one count array at
-  the intervals' offset, with no modulo per pair;
+- _tiled_counts ("tiles"): prime-field sums and differences; [0, p) is cut
+  into intervals of about _TILE codes, and each pair of intervals adds its
+  local sums into one count array at the intervals' offset, with no modulo
+  per pair;
 - _transform_counts ("transform"): sums and differences in GF(p^m), m > 1,
-  with q*p <= _BLOCK, once the pairs outweigh _TRANSFORM_RATIO transforms
-  over the group Z_p^m; the transform is exact in int64 for every p, since
-  it works mod a prime P > q with p | P - 1, so Z_P has p-th roots of unity;
-- _merge_counts ("merge"): any op, merging sorted blocks of pairs; chosen
-  above TABLE_LIMIT and when the pairs are few against q;
+  by transforms over the group Z_p^m; exact in int64 for every p, since it
+  works mod a prime P > q with p | P - 1, so Z_P has p-th roots of unity;
 - _dense_counts ("dense"): any op, adding blocks of pairs into one array of
-  q counts; chosen for the rest.
+  q counts;
+- _merge_counts ("merge"): any op and any q, merging sorted blocks of pairs.
 
-Each kernel runs on any input it admits, whatever the chooser would pick,
-so tests and verify's oracle checks call each one directly.  Prime fields
-have no FFT path, because a transform over a field near 10^6 needs more
-memory than the exact counts.  Membership counts over many dilates (coset
-scans, triple covers) are row sums of np.isin over blocks of products, in
-_row_hits.
+_kernels alone says which kernels admit an (op, field) and which pay at
+given sizes; _choose_kernel takes the first that pays, and _run_kernel
+runs any of them, so verify's oracle checks run every listed kernel.
+Prime fields have no FFT path: an rfft/irfft pair of length 2^21 (p near
+10^6) raised a process's peak memory from 35 MB to 123 MB, while the tiled
+count's one array holds p + 2w counts, 2w = 2 ceil(p / nb).  Membership
+counts over many dilates (coset scans, triple covers) are row sums of
+np.isin over blocks of products, in _row_hits.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import _BLOCK, TABLE_LIMIT, Field, _index, _mod, _read_only, divisors, is_prime
+from .fields import _BLOCK, TABLE_LIMIT, Field, _mod, _read_only, divisors, is_prime
 
 # Prime-field sum/difference tiles: the narrowest width and the fewest mean
 # pairs per pair of tiles.  Measured on a 2-vCPU Xeon in GF(1000003): halving
@@ -66,18 +65,10 @@ _MERGE_BASE = 4096
 _MERGE_RATIO = 8
 
 
-def _code(c) -> int:
-    """c as a Python int; numpy integers pass, bools and non-integers raise ValueError."""
-    v = _index(c)
-    if v is None:
-        raise ValueError(f"{c!r} is not an element code")
-    return v
-
-
 class ESet:
     """Immutable subset of a field: one read-only int64 array of strictly increasing codes.
 
-    codes is any iterable of integers, each cleaned by _code; a 1-D integer
+    codes is any iterable of codes, each cleaned by Field.code; a 1-D integer
     ndarray is copied whole instead, as it is when strictly increasing and
     sorted and deduplicated otherwise.  That is a sort and a mask rather
     than np.unique, whose first call in a process raised its peak memory by
@@ -92,10 +83,10 @@ class ESet:
             if not (codes[1:] > codes[:-1]).all():
                 codes.sort()
                 codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
+            if codes.size and (codes[0] < 0 or codes[-1] >= ctx.q):
+                raise ValueError(f"element code out of range for {ctx!r}")
         else:
-            codes = sorted({_code(c) for c in codes})
-        if len(codes) and (codes[0] < 0 or codes[-1] >= ctx.q):
-            raise ValueError(f"element code out of range for {ctx!r}")
+            codes = sorted({ctx.code(c) for c in codes})
         self.ctx = ctx
         self.codes = _read_only(np.asarray(codes, dtype=np.int64))
 
@@ -300,39 +291,61 @@ def _dense_counts(ctx: Field, xa, ya, op):
 
 
 def _tile_count(p: int, nx: int, ny: int) -> int:
-    """The tiles' nb for |X| = nx, |Y| = ny: min(ceil(p / _TILE), isqrt(nx*ny / _TILE)), at least 1.
+    """min(ceil(p / _TILE), isqrt(nx*ny / _TILE)): the tiles' nb for |X| = nx, |Y| = ny.
 
     Each interval is then at least about _TILE wide, and a pair of
-    intervals holds _TILE pairs on average.  The chooser takes the tiles
-    only at nb >= 2; the floor of 1 lets them run on any sizes when called.
+    intervals holds _TILE pairs on average.  The chooser takes the tiles at
+    nb >= 2, and _run_kernel cuts at least two intervals.
     """
-    return max(1, min(-(-p // _TILE), math.isqrt(nx * ny // _TILE)))
+    return min(-(-p // _TILE), math.isqrt(nx * ny // _TILE))
+
+
+def _kernels(ctx: Field, op, nx: int, ny: int):
+    """(kernel, pays) for each kernel that counts op exactly over |X| = nx, |Y| = ny in ctx, best first.
+
+    - "tiles": vadd and vsub in prime fields up to TABLE_LIMIT; pays when
+      nb = _tile_count(p, nx, ny) >= 2;
+    - "transform": vadd and vsub for m > 1 and q*p <= _BLOCK, which bounds
+      only its memory; pays when nx*ny*width exceeds _TRANSFORM_RATIO *
+      m*p*q;
+    - "dense": any op up to TABLE_LIMIT, above which a count per code would
+      not fit; pays unless the pairs are few against q:
+      q > _MERGE_BASE + _MERGE_RATIO * nx*ny;
+    - "merge": any op and any q; always pays.
+    """
+    q, sums = ctx.q, op in (Field.vadd, Field.vsub)
+    if sums and ctx.m == 1 and q <= TABLE_LIMIT:
+        yield "tiles", _tile_count(ctx.p, nx, ny) >= 2
+    if sums and ctx.m > 1 and q * ctx.p <= _BLOCK:
+        yield "transform", nx * ny * ctx.width > _TRANSFORM_RATIO * ctx.m * ctx.p * q
+    if q <= TABLE_LIMIT:
+        yield "dense", q <= _MERGE_BASE + _MERGE_RATIO * nx * ny
+    yield "merge", True
 
 
 def _choose_kernel(ctx: Field, op, nx: int, ny: int) -> str:
-    """The kernel _pair_counts runs for op over |X| = nx, |Y| = ny in ctx.
+    """The kernel _pair_counts runs for op over |X| = nx, |Y| = ny in ctx: the first of _kernels that pays."""
+    return next(kernel for kernel, pays in _kernels(ctx, op, nx, ny) if pays)
 
-    - "tiles": prime fields up to TABLE_LIMIT, vadd and vsub, when
-      nb = _tile_count(p, nx, ny) >= 2;
-    - "transform": m > 1, vadd and vsub, q*p <= _BLOCK and nx*ny*width
-      above _TRANSFORM_RATIO * m*p*q; it is exact mod a prime P > q, so
-      q*p <= _BLOCK bounds only its memory;
-    - "merge": every other count where q > TABLE_LIMIT, so that a count per
-      code would not fit, or where the pairs are few against q:
-      q > _MERGE_BASE + _MERGE_RATIO * nx*ny;
-    - "dense": the rest (products, and sums and differences that no kernel
-      above takes).
+
+def _run_kernel(kernel: str, ctx: Field, xs, ys, op):
+    """(values, counts) of op over xs x ys by kernel, one that _kernels lists for op in ctx.
+
+    The tiles cut max(2, _tile_count) intervals, which is _tile_count
+    wherever the chooser takes them.
     """
-    if op in (Field.vadd, Field.vsub):
-        if ctx.m == 1:
-            if ctx.q <= TABLE_LIMIT and _tile_count(ctx.p, nx, ny) >= 2:
-                return "tiles"
-        elif (ctx.q * ctx.p <= _BLOCK
-              and nx * ny * ctx.width > _TRANSFORM_RATIO * ctx.m * ctx.p * ctx.q):
-            return "transform"
-    if ctx.q > TABLE_LIMIT or ctx.q > _MERGE_BASE + _MERGE_RATIO * nx * ny:
-        return "merge"
-    return "dense"
+    if kernel == "merge":
+        return _merge_counts(ctx, xs, ys, op)
+    same, negate = ys is xs, op is Field.vsub
+    if kernel == "tiles":
+        nb = max(2, _tile_count(ctx.p, xs.size, ys.size))
+        counts = _tiled_counts(ctx.p, xs, ys, nb, negate, same)
+    elif kernel == "transform":
+        counts = _transform_counts(ctx, xs, ys, same, negate)
+    else:
+        counts = _dense_counts(ctx, xs, ys, op)
+    values = np.flatnonzero(counts)
+    return values, counts[values]
 
 
 def _pair_counts(ctx: Field, xs, ys, op):
@@ -342,23 +355,8 @@ def _pair_counts(ctx: Field, xs, ys, op):
     array operations, called as op(ctx, x, y).  The kernel is the one
     _choose_kernel names; every kernel is exact, the transform included,
     since it counts mod a prime P > q.
-
-    Prime fields have no FFT path: an rfft/irfft pair of length 2^21 (p near
-    10^6) raised a process's peak memory from 35 MB to 123 MB, while the
-    tiled count's one array holds p + 2w counts, 2w = 2 ceil(p / nb).
     """
-    same, negate = ys is xs, op is Field.vsub
-    kernel = _choose_kernel(ctx, op, xs.size, ys.size)
-    if kernel == "tiles":
-        counts = _tiled_counts(ctx.p, xs, ys, _tile_count(ctx.p, xs.size, ys.size), negate, same)
-    elif kernel == "transform":
-        counts = _transform_counts(ctx, xs, ys, same, negate)
-    elif kernel == "merge":
-        return _merge_counts(ctx, xs, ys, op)
-    else:
-        counts = _dense_counts(ctx, xs, ys, op)
-    values = np.flatnonzero(counts)
-    return values, counts[values]
+    return _run_kernel(_choose_kernel(ctx, op, xs.size, ys.size), ctx, xs, ys, op)
 
 
 def _support(A: ESet, B: ESet, op) -> ESet:
@@ -385,14 +383,13 @@ def difference_set(A: ESet, B: ESet) -> ESet:
 def shift(A: ESet, d) -> ESet:
     """A + d; a bijection, so the size is preserved."""
     ctx = A.ctx
-    ctx.check(d)
-    return ESet(ctx, ctx.vadd(A.codes, d))
+    return ESet(ctx, ctx.vadd(A.codes, ctx.code(d)))
 
 
 def dilate(A: ESet, alpha) -> ESet:
     """alpha * A for alpha != 0; a bijection, so the size is preserved."""
     ctx = A.ctx
-    ctx.check(alpha)
+    alpha = ctx.code(alpha)
     if alpha == 0:
         raise ValueError("dilation by 0 collapses the set")
     return ESet(ctx, ctx.vmul(alpha, A.codes))

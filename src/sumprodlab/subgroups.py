@@ -193,7 +193,7 @@ def difference_count(G: ESet, H: ESet, d) -> DifferenceCount:
     float; it carries implied constant 1 and is informational only.
     """
     ctx = _same_field(G, H)
-    ctx.check(d)
+    d = ctx.code(d)
     if d == 0:
         raise ValueError("difference d must be nonzero")
     if len(G) == 0 or len(H) == 0:

@@ -1,11 +1,10 @@
 """Self-verification suites: every fast path against a loop oracle or an
 exact identity.
 
-The oracle checks of energies and product sets also run each pair-count
-kernel of sets that admits an instance, whichever one sets' chooser would
-pick: the merge and the dense count always, and for sums the tiles (at two
-intervals) in prime fields and, where q*p <= _BLOCK, the Z_p^m transform,
-which counts exactly mod a prime P > q with p | P - 1.
+The oracle checks of energies and product sets also run every pair-count
+kernel that sets._kernels lists for an instance, through sets._run_kernel,
+whichever one sets' chooser would pick; a kernel added to sets is checked
+here with no change to this module.
 
 All randomness is drawn from fixed-seed generators, so a suite run is
 reproducible.  Check functions raise on the first violation and return the
@@ -28,7 +27,7 @@ from .energy import (cauchy_schwarz_chain, energy, growth_chain_report,
                      shifted_subgroup_ratio, triple_cover_count,
                      triple_cover_totals)
 from .families import draw_shift, stream_rng
-from .fields import _BLOCK, Field, divisors, make_field
+from .fields import Field, divisors, make_field
 from .gauss import gauss_bounds_report, gauss_sum, gauss_sum_by_subgroup, subgroup_character_sum
 from .sets import ESet, coset_scan, product_set, shift
 from .subgroups import (difference_count, gcd_growth_condition,
@@ -100,23 +99,9 @@ def _pick(rng, seq):
 
 
 def _every_kernel(ctx, A: ESet, B: ESet, op):
-    """(kernel, values, counts) from each pair-count kernel that admits op over A x B.
-
-    op is Field.vadd or Field.vmul.  The merge and the dense count take
-    both; sums also go to the tiles at nb = 2 in prime fields, and to the
-    Z_p^m transform, exact mod a prime P > q, for m > 1 and q*p <= _BLOCK.
-    """
-    xs, ys = A.codes, B.codes
-    full = {"dense": sets._dense_counts(ctx, xs, ys, op)}
-    if op is Field.vadd and ctx.m == 1:
-        full["tiles"] = sets._tiled_counts(ctx.p, xs, ys, 2, False, False)
-    elif op is Field.vadd and ctx.q * ctx.p <= _BLOCK:
-        full["transform"] = sets._transform_counts(ctx, xs, ys, False, False)
-    runs = [("merge", *sets._merge_counts(ctx, xs, ys, op))]
-    for kernel, counts in full.items():
-        values = np.flatnonzero(counts)
-        runs.append((kernel, values, counts[values]))
-    return runs
+    """(kernel, values, counts) from each pair-count kernel that sets._kernels lists for op over A x B."""
+    return [(kernel, *sets._run_kernel(kernel, ctx, A.codes, B.codes, op))
+            for kernel, _ in sets._kernels(ctx, op, len(A), len(B))]
 
 
 # ---------------------------------------------------------------------------

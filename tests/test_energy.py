@@ -17,8 +17,8 @@ from sumprodlab.energy import (KINDS, EnergyReport, cauchy_schwarz_chain, energy
                                product_shift_identity, shifted_subgroup_ratio,
                                triple_cover_count, triple_cover_totals)
 from sumprodlab.fields import TABLE_LIMIT, Field, is_prime, make_field
-from sumprodlab.sets import ESet, difference_set, dilate, product_set, sum_set
-from sumprodlab.subgroups import subgroup_additive_energy, subgroup_of_order
+from sumprodlab.sets import ESet, difference_set, dilate, product_set, shift, sum_set
+from sumprodlab.subgroups import difference_count, subgroup_additive_energy, subgroup_of_order
 
 
 def S(ctx, codes):
@@ -541,6 +541,39 @@ def test_growth_chain_validation():
         growth_chain_report(g, g, g, 3)
     with pytest.raises(ValueError):
         growth_chain_report(S(f7, [1]), S(f7, [1]), S(f7, [1]), 1)
+
+
+def _code_calls():
+    """(function, args) for every public function that takes element codes beside its sets."""
+    f7 = make_field(7)
+    g = S(f7, [1, 2, 4])
+    w = make_triple_witness(g, g, 1, 2, 3, 5)
+    return [(shift, (g, 3)), (dilate, (g, 3)), (difference_count, (g, g, 1)),
+            (growth_chain_report, (g, g, g, 1)), (cauchy_schwarz_chain, (g, g, g, 1, w)),
+            (make_triple_witness, (g, g, 1, 2, 3, 5)),
+            (triple_cover_count, (S(f7, [2, 3, 5]), g, 2, 3, 5)),
+            (shifted_subgroup_ratio, (g, 1)), (product_shift_identity, (f7, 1, 2, 4, 1, 1, 1))]
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+def test_entry_points_take_numpy_integer_codes(kind):
+    # each code may be a numpy integer: the call equals the one with ints
+    for fn, args in _code_calls():
+        got = fn(*(kind(a) if type(a) is int else a for a in args))
+        assert got == fn(*args), fn.__name__
+        if fn is make_triple_witness:
+            assert all(type(v) is int for v in vars(got).values())
+
+
+def test_entry_points_reject_bool_and_float_codes():
+    # True is not the code 1 and 1.0 is not 1, whichever code they stand in for
+    for fn, args in _code_calls():
+        for i, a in enumerate(args):
+            if type(a) is not int:
+                continue
+            for bad in (bool(a), np.bool_(a), float(a), np.float64(a)):
+                with pytest.raises(ValueError, match="not an element code"):
+                    fn(*args[:i], bad, *args[i + 1:])
 
 
 def test_plunnecke_frozen_and_validation():

@@ -105,6 +105,19 @@ def test_encode_decode_roundtrip():
     assert ctx.check(Code(5)) == 5
 
 
+def test_code_takes_numpy_integers_as_ints():
+    # Field.code is check that also takes numpy integers, returned as ints
+    ctx = make_field(13)
+    for v in (5, np.int64(5), np.int32(5), np.uint8(5)):
+        assert ctx.code(v) == 5 and type(ctx.code(v)) is int
+    for bad in (True, False, np.bool_(True), 5.0, np.float64(5), "5", None, -1, 13,
+                np.int64(13), np.int8(-1)):
+        with pytest.raises(ValueError, match="not an element code"):
+            ctx.code(bad)
+    with pytest.raises(ValueError):
+        ctx.check(np.int64(5))
+
+
 def test_gf9_arithmetic_by_hand():
     # codes: a0 + 3*a1 for a0 + a1*t, t^2 = -1
     ctx = make_field(3, 2)

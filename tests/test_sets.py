@@ -199,8 +199,8 @@ def test_symmetric_prime_tiles(tile, force_kernel, monkeypatch):
     # at the nb that tiles of this width give, X + X passed as one object
     # visits tile pairs b <= a only and doubles b < a, while an equal copy,
     # and every difference, takes the full loop; with the chooser forced to
-    # the tiles, _pair_counts passes the same object as same=True and the
-    # nb of _tile_count
+    # the tiles, _pair_counts passes the same object as same=True and
+    # max(2, _tile_count) intervals, as _run_kernel cuts them
     force_kernel("tiles")
     calls = []
     real = sets._tiled_counts
@@ -230,7 +230,7 @@ def test_symmetric_prime_tiles(tile, force_kernel, monkeypatch):
                 for ys, same in ((X.codes, True), (copy, False)):
                     del calls[:]
                     values, counts = sets._pair_counts(ctx, X.codes, ys, op)
-                    assert calls == [(sets._tile_count(p, len(X), len(X)), same)]
+                    assert calls == [(max(2, sets._tile_count(p, len(X), len(X))), same)]
                     assert list(zip(values.tolist(), counts.tolist())) == sorted(pairs.items())
             pairs = Counter(ctx.add(a, b) for a in X for b in X)
             assert energy(X).value == sum(c * c for c in pairs.values())
@@ -405,10 +405,12 @@ def test_choose_kernel_boundaries():
 
 
 def test_only_sets_and_verify_name_pair_count_kernels():
-    # the choice of a pair-count kernel stays in sets; verify alone also
-    # calls each kernel, to check it against the oracle
+    # only sets names the pair-count kernels and says which admit a count;
+    # verify runs each of them against the oracle through the list and the
+    # adapter alone, and names neither a kernel nor _BLOCK
     kernels = {"_choose_kernel", "_tiled_counts", "_transform_counts",
                "_merge_counts", "_dense_counts"}
+    listing = {"_kernels", "_run_kernel"}
     seen = {}
     for path in sorted(Path(sets.__file__).parent.glob("*.py")):
         names = set()
@@ -420,9 +422,60 @@ def test_only_sets_and_verify_name_pair_count_kernels():
             elif isinstance(node, (ast.FunctionDef, ast.ImportFrom)):
                 names.update([node.name] if isinstance(node, ast.FunctionDef)
                              else [alias.name for alias in node.names])
-        seen[path.stem] = names & kernels
-    assert seen["sets"] == kernels and seen["verify"] >= kernels - {"_choose_kernel"}
-    assert {stem for stem, named in seen.items() if named} == {"sets", "verify"}
+        seen[path.stem] = names
+    assert seen["sets"] >= kernels | listing
+    assert {stem for stem, names in seen.items() if names & kernels} == {"sets"}
+    assert {stem for stem, names in seen.items() if names & listing} == {"sets", "verify"}
+    assert seen["verify"] >= listing and "_BLOCK" not in seen["verify"]
+
+
+# fields on both sides of each bound in _kernels (q = TABLE_LIMIT, q*p = _BLOCK,
+# m = 1), with the kernels each lists for sums and differences
+LISTED_SUMS = {(4194301, 1): ["tiles", "dense", "merge"], (4194319, 1): ["merge"],
+               (2, 19): ["transform", "dense", "merge"], (2, 20): ["dense", "merge"],
+               (101, 1): ["tiles", "dense", "merge"], (3, 4): ["transform", "dense", "merge"]}
+
+
+@pytest.mark.parametrize("pm", list(LISTED_SUMS))
+def test_every_listed_kernel_matches_loop(pm):
+    # each kernel _kernels lists, run through _run_kernel whatever the
+    # chooser would pick, counts every op as a loop does, for two sets and
+    # for one set passed as both
+    ctx = F(*pm)
+    rng = random.Random(f"listed:{pm}")
+    q = ctx.q
+    X = ESet(ctx, [0, q - 1] + rng.sample(range(q), 10))
+    Y = ESet(ctx, [1] + rng.sample(range(q), 6))
+    for op, scalar in ((Field.vadd, ctx.add), (Field.vsub, ctx.sub), (Field.vmul, ctx.mul)):
+        for A, B in ((X, Y), (X, X)):
+            listed = [kernel for kernel, _ in sets._kernels(ctx, op, len(A), len(B))]
+            assert listed == (LISTED_SUMS[pm] if op is not Field.vmul
+                              else [k for k in ("dense", "merge") if k in LISTED_SUMS[pm]])
+            expect = sorted(Counter(scalar(a, b) for a in A for b in B).items())
+            for kernel in listed:
+                values, counts = sets._run_kernel(kernel, ctx, A.codes, B.codes, op)
+                assert values.dtype == counts.dtype == np.int64
+                assert list(zip(values.tolist(), counts.tolist())) == expect, kernel
+
+
+@pytest.mark.parametrize("pm", list(LISTED_SUMS) + [(2, 22), (65537, 1), (3, 9)])
+def test_chooser_takes_the_first_listed_kernel_that_pays(pm):
+    ctx = F(*pm)
+    order = ["tiles", "transform", "dense", "merge"]
+    sizes = [0, 1, 2, 7, 40, 255, 256, 4096, 65536, 10 ** 6]
+    for op in (Field.vadd, Field.vsub, Field.vmul):
+        for nx in sizes:
+            for ny in sizes:
+                listed = list(sets._kernels(ctx, op, nx, ny))
+                names = [kernel for kernel, _ in listed]
+                assert names == [kernel for kernel in order if kernel in names]
+                assert listed[-1] == ("merge", True)
+                assert ("dense" in names) == (ctx.q <= fields.TABLE_LIMIT)
+                if op is Field.vmul:
+                    assert set(names) <= {"dense", "merge"}
+                choice = sets._choose_kernel(ctx, op, nx, ny)
+                assert choice in names
+                assert choice == next(kernel for kernel, pays in listed if pays)
 
 
 def test_pair_counts_stay_integer():
